@@ -31,7 +31,7 @@ from degreelab.graphs import (
     max_degree,
     read_edge_list,
 )
-from degreelab.pruefer import encode, sample_uniform_forest
+from degreelab.pruefer import encode, sample_forest_degrees, sample_uniform_forest
 from degreelab.rng import derive_rng
 from degreelab.samplers import build_complex_part, sample_gnm, sample_noncomplex
 
@@ -147,6 +147,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         print(json.dumps(payload))
         return 0
     if args.structure == "forest":
+        if args.emit == "degrees":
+            degrees = sample_forest_degrees(args.n, args.t, rng).tolist()
+            print(json.dumps({"n": args.n, "t": args.t, "degrees": degrees}))
+            return 0
         forest = sample_uniform_forest(args.n, args.t, rng)
         if args.emit == "pruefer":
             sequence = encode(forest)
@@ -155,12 +159,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
                     {"n": args.n, "t": args.t, "sequence": list(sequence.entries)}
                 )
             )
-        elif args.emit == "degrees":
-            degrees = [0] * (args.n + 1)
-            for u, v in forest.edges:
-                degrees[u] += 1
-                degrees[v] += 1
-            print(json.dumps({"n": args.n, "t": args.t, "degrees": degrees[1:]}))
         else:
             graph = SimpleGraph.from_edges(args.n, forest.edges)
             sys.stdout.write(format_edge_list(graph))

@@ -1,5 +1,10 @@
 """Labelled graphs: components, cores, decomposition, and small-scale planarity.
 
+Graph algorithms run on endpoint arrays (1-based labels on [n]):
+``component_stats`` labels components with scipy, ``peel`` computes the
+2-core by a frontier peel over a CSR index, and ``decompose_masks`` combines
+them.  The ``SimpleGraph`` functions convert their edges and call these.
+
 A component is *complex* if it has at least two independent cycles (edge
 count >= vertex count + 1).  The complex part of a graph is the union of its
 complex components; peeling degree-one vertices from it yields the core, a
@@ -15,13 +20,14 @@ than guessing.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 Edge = tuple[int, int]
 
@@ -80,9 +86,36 @@ class SimpleGraph:
 
     @classmethod
     def from_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray) -> SimpleGraph:
-        """Fast path for trusted endpoint arrays with no loops or duplicates."""
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
+        """Graph on vertex set 1..n with edges (us[i], vs[i]).
+
+        The arrays are checked with numpy rather than edge by edge: labels in
+        [1, n], no loops and no repeated edge, in either orientation.
+        """
+        if n < 0:
+            raise ValueError(f"n must be non-negative, got {n}")
+        us, vs = np.asarray(us), np.asarray(vs)
+        if us.ndim != 1 or us.shape != vs.shape:
+            raise ValueError(
+                f"endpoint arrays must be one-dimensional and of equal length, "
+                f"got shapes {us.shape} and {vs.shape}"
+            )
+        if us.size and (us.dtype.kind not in "iu" or vs.dtype.kind not in "iu"):
+            raise ValueError(
+                f"endpoint labels must be integers, got {us.dtype} and {vs.dtype}"
+            )
+        lo = np.minimum(us, vs).astype(np.int64)
+        hi = np.maximum(us, vs).astype(np.int64)
+        if lo.size:
+            if lo.min() < 1 or hi.max() > n:
+                raise ValueError(f"edge endpoints must lie in [1, {n}]")
+            if np.any(lo == hi):
+                loop = lo[lo == hi][0]
+                raise ValueError(f"loop at vertex {loop} is not a simple-graph edge")
+            codes = np.sort(lo * np.int64(n + 1) + hi)
+            repeated = codes[1:][codes[1:] == codes[:-1]]
+            if repeated.size:
+                u, v = divmod(int(repeated[0]), n + 1)
+                raise ValueError(f"edge ({u}, {v}) appears more than once")
         graph = object.__new__(cls)
         object.__setattr__(graph, "vertices", tuple(range(1, n + 1)))
         object.__setattr__(graph, "edges", frozenset(zip(lo.tolist(), hi.tolist())))
@@ -171,27 +204,128 @@ def max_degree(graph: SimpleGraph | MultiGraph) -> int:
     return max(seq) if seq else 0
 
 
+# ---------------------------------------------------------------------------
+# Array kernels: a graph on [n] given by endpoint arrays us, vs (1-based)
+# ---------------------------------------------------------------------------
+
+
+def _csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR index of the pairs (rows[i], cols[i]) on 0..n-1: (indptr, cols by row)."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[np.argsort(rows)]
+
+
+def component_stats(
+    n: int, us: np.ndarray, vs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Connected components of the simple graph on [n] with edges (us[i], vs[i]).
+
+    Returns (labels, vertex_counts, edge_counts): vertex v lies in component
+    labels[v - 1], and component c has vertex_counts[c] vertices and
+    edge_counts[c] edges.  A component is complex iff its edge count is at
+    least its vertex count plus one.
+    """
+    indptr, cols = _csr(n, us - 1, vs - 1)
+    adjacency = csr_matrix((np.ones(cols.size), cols, indptr), shape=(n, n))
+    n_comp, labels = connected_components(adjacency, directed=False)
+    vertex_counts = np.bincount(labels, minlength=n_comp)
+    edge_counts = np.bincount(labels[us - 1], minlength=n_comp)
+    return labels, vertex_counts, edge_counts
+
+
+def has_complex_component(n: int, us: np.ndarray, vs: np.ndarray) -> bool:
+    """True iff some component has edge count >= vertex count + 1."""
+    _, vertex_counts, edge_counts = component_stats(n, us, vs)
+    return bool(np.any(edge_counts >= vertex_counts + 1))
+
+
+def peel(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Mask of the vertices left after recursively deleting those of degree <= 1.
+
+    alive[v - 1] is True iff v lies in the classical 2-core.  Each round
+    deletes the current frontier and visits only its neighbours through a
+    CSR index, never all n vertices, so trees of depth ~sqrt(n) hanging off
+    the core cost their size, not n per level.
+    """
+    indptr, neighbours = _csr(
+        n, np.concatenate((us, vs)) - 1, np.concatenate((vs, us)) - 1
+    )
+    degree = np.diff(indptr)
+    alive = np.ones(n, dtype=bool)
+    frontier = np.flatnonzero(degree <= 1)
+    while frontier.size:
+        alive[frontier] = False
+        starts = indptr[frontier]
+        lengths = indptr[frontier + 1] - starts
+        offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        touched = neighbours[offsets + np.arange(offsets.size)]
+        touched = touched[alive[touched]]
+        np.subtract.at(degree, touched, 1)
+        frontier = np.unique(touched[degree[touched] <= 1])
+    return alive
+
+
+def decompose_masks(
+    n: int, us: np.ndarray, vs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertex masks (core, big, small) of the decomposition of the graph on [n].
+
+    The core is the 2-core restricted to complex components.  The core of a
+    complex component is connected, so core components and complex
+    components correspond one to one; ``big`` is the complex component with
+    the most core vertices (ties to the smallest core vertex) and ``small``
+    the other complex components.  The non-complex part is ~(big | small).
+    """
+    labels, vertex_counts, edge_counts = component_stats(n, us, vs)
+    in_complex = (edge_counts >= vertex_counts + 1)[labels]
+    core = peel(n, us, vs) & in_complex
+    big = np.zeros(n, dtype=bool)
+    core_vertices = np.flatnonzero(core)
+    if core_vertices.size:
+        comps, first, sizes = np.unique(
+            labels[core_vertices], return_index=True, return_counts=True
+        )
+        best = comps[np.lexsort((core_vertices[first], -sizes))[0]]
+        big = labels == best
+    return core, big, in_complex & ~big
+
+
+# ---------------------------------------------------------------------------
+# SimpleGraph operations, through the array kernels
+# ---------------------------------------------------------------------------
+
+
+def _edge_arrays(graph: SimpleGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Edges as 1-based positions in ``graph.vertices`` (the labels on [n])."""
+    m = len(graph.edges)
+    pairs = np.fromiter(
+        (v for e in graph.edges for v in e), dtype=np.int64, count=2 * m
+    )
+    if graph.vertices and graph.vertices[-1] != len(graph.vertices):
+        pairs = np.searchsorted(np.array(graph.vertices), pairs) + 1
+    return pairs[0::2], pairs[1::2]
+
+
+def _component_order(labels: np.ndarray, vertex_counts: np.ndarray) -> list[int]:
+    """Component ids by size descending, then smallest member ascending."""
+    _, first = np.unique(labels, return_index=True)
+    return np.lexsort((first, -vertex_counts)).tolist()
+
+
+def _select(graph: SimpleGraph, mask: np.ndarray) -> list[int]:
+    return np.array(graph.vertices, dtype=np.int64)[mask].tolist()
+
+
 def components(graph: SimpleGraph) -> list[tuple[int, ...]]:
     """Connected components, each sorted, ordered by (size desc, min label asc)."""
-    seen: set[int] = set()
-    comps: list[tuple[int, ...]] = []
-    adjacency = graph.adjacency
-    for start in graph.vertices:
-        if start in seen:
-            continue
-        queue = deque([start])
-        seen.add(start)
-        comp = [start]
-        while queue:
-            v = queue.popleft()
-            for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(tuple(sorted(comp)))
-    comps.sort(key=lambda c: (-len(c), c[0]))
-    return comps
+    if not graph.vertices:
+        return []
+    labels, vertex_counts, _ = component_stats(graph.order, *_edge_arrays(graph))
+    by_label = np.argsort(labels, kind="stable")
+    members = np.array(graph.vertices, dtype=np.int64)[by_label]
+    groups = np.split(members, np.cumsum(vertex_counts)[:-1])
+    return [tuple(groups[c].tolist()) for c in _component_order(labels, vertex_counts)]
 
 
 def induced_subgraph(graph: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:
@@ -202,23 +336,20 @@ def induced_subgraph(graph: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph
     return SimpleGraph(vertices=tuple(vset), edges=edges)
 
 
-def _component_edge_counts(graph: SimpleGraph) -> dict[tuple[int, ...], int]:
-    comps = components(graph)
-    index = {v: i for i, comp in enumerate(comps) for v in comp}
-    counts = [0] * len(comps)
-    for u, _ in graph.edges:
-        counts[index[u]] += 1
-    return {comp: counts[i] for i, comp in enumerate(comps)}
-
-
 def is_complex_component(graph: SimpleGraph, comp: Sequence[int]) -> bool:
     """True iff the component has cycle rank >= 2, i.e. edges >= vertices + 1."""
-    comp_sorted = tuple(sorted(comp))
-    if comp_sorted not in components(graph):
-        raise ValueError(f"{comp_sorted} is not a component of the graph")
-    members = set(comp_sorted)
-    edge_count = sum(1 for e in graph.edges if e[0] in members)
-    return edge_count >= len(comp_sorted) + 1
+    labels, vertex_counts, edge_counts = component_stats(
+        graph.order, *_edge_arrays(graph)
+    )
+    position = {v: i for i, v in enumerate(graph.vertices)}
+    members = set(comp)
+    found = {int(labels[position[v]]) for v in members & position.keys()}
+    if members - position.keys() or len(found) != 1 or not (
+        len(members) == len(comp) == vertex_counts[min(found)]
+    ):
+        raise ValueError(f"{tuple(sorted(comp))} is not a component of the graph")
+    c = found.pop()
+    return bool(edge_counts[c] >= vertex_counts[c] + 1)
 
 
 def peeled_core(graph: SimpleGraph) -> SimpleGraph:
@@ -227,22 +358,8 @@ def peeled_core(graph: SimpleGraph) -> SimpleGraph:
     This is the classical 2-core: minimum degree two, bare-cycle components
     retained.  Compare ``two_core``, which also drops bare cycles.
     """
-    adjacency = graph.adjacency
-    degree = {v: len(adjacency[v]) for v in graph.vertices}
-    alive = set(graph.vertices)
-    queue = deque(v for v, d in degree.items() if d <= 1)
-    while queue:
-        v = queue.popleft()
-        if v not in alive or degree[v] > 1:
-            continue
-        alive.discard(v)
-        for w in adjacency[v]:
-            if w in alive:
-                degree[w] -= 1
-                if degree[w] == 1:
-                    queue.append(w)
-    edges = frozenset(e for e in graph.edges if e[0] in alive and e[1] in alive)
-    return SimpleGraph(vertices=tuple(alive), edges=edges)
+    alive = peel(graph.order, *_edge_arrays(graph))
+    return induced_subgraph(graph, _select(graph, alive))
 
 
 def two_core(graph: SimpleGraph) -> SimpleGraph:
@@ -252,13 +369,8 @@ def two_core(graph: SimpleGraph) -> SimpleGraph:
     peeling.  The result has minimum degree two and no bare-cycle components;
     it is empty whenever the graph has no complex component.
     """
-    peeled = peeled_core(graph)
-    keep: list[int] = []
-    counts = _component_edge_counts(peeled)
-    for comp, edge_count in counts.items():
-        if edge_count > len(comp):
-            keep.extend(comp)
-    return induced_subgraph(peeled, keep)
+    core, _, _ = decompose_masks(graph.order, *_edge_arrays(graph))
+    return induced_subgraph(graph, _select(graph, core))
 
 
 @dataclass(frozen=True)
@@ -279,29 +391,12 @@ class Decomposition:
 
 
 def decompose(graph: SimpleGraph) -> Decomposition:
-    core = two_core(graph)
-    comps = components(graph)
-    edge_counts = _component_edge_counts(graph)
-    complex_comps = [c for c in comps if edge_counts[c] >= len(c) + 1]
-
-    big_vertices: tuple[int, ...] = ()
-    if core.vertices:
-        largest_core_comp = set(components(core)[0])
-        for comp in complex_comps:
-            if largest_core_comp <= set(comp):
-                big_vertices = comp
-                break
-
-    small_vertices = [
-        v for comp in complex_comps if comp != big_vertices for v in comp
-    ]
-    complex_vertex_set = set(big_vertices) | set(small_vertices)
-    rest_vertices = [v for v in graph.vertices if v not in complex_vertex_set]
+    core, big, small = decompose_masks(graph.order, *_edge_arrays(graph))
     return Decomposition(
-        core=core,
-        big_complex=induced_subgraph(graph, big_vertices),
-        small_complex=induced_subgraph(graph, small_vertices),
-        non_complex=induced_subgraph(graph, rest_vertices),
+        core=induced_subgraph(graph, _select(graph, core)),
+        big_complex=induced_subgraph(graph, _select(graph, big)),
+        small_complex=induced_subgraph(graph, _select(graph, small)),
+        non_complex=induced_subgraph(graph, _select(graph, ~(big | small))),
     )
 
 
@@ -337,9 +432,12 @@ def is_planar(
     that survive the fast paths and exceed ``component_limit`` vertices raise
     PlanarityLimitError instead of risking a wrong answer.
     """
-    edge_counts = _component_edge_counts(graph)
-    for comp, m_comp in edge_counts.items():
-        n_comp = len(comp)
+    labels, vertex_counts, edge_counts = component_stats(
+        graph.order, *_edge_arrays(graph)
+    )
+    vertices = np.array(graph.vertices, dtype=np.int64)
+    for c in _component_order(labels, vertex_counts):
+        n_comp, m_comp = int(vertex_counts[c]), int(edge_counts[c])
         if m_comp <= n_comp:
             continue
         if n_comp >= 3 and m_comp > 3 * n_comp - 6:
@@ -351,7 +449,7 @@ def is_planar(
                 f"component with {n_comp} vertices exceeds the subdivision-search "
                 f"limit of {component_limit}"
             )
-        sub = induced_subgraph(graph, comp)
+        sub = induced_subgraph(graph, vertices[labels == c].tolist())
         adjacency = {v: set(sub.adjacency[v]) for v in sub.vertices}
         if _has_k5_subdivision(adjacency) or _has_k33_subdivision(adjacency):
             return False

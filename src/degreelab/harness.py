@@ -23,25 +23,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Any, Sequence
 
+import numpy as np
+
 from degreelab import concentration as conc
 from degreelab import dense_ops
 from degreelab.balls_bins import loads as bin_loads
 from degreelab.balls_bins import max_load, sample_locations
-from degreelab.graphs import (
-    SimpleGraph,
-    components,
-    decompose,
-    max_degree,
-    peeled_core,
-)
-from degreelab.pruefer import sample_forest_degrees, sample_uniform_forest
+from degreelab.graphs import SimpleGraph, decompose_masks, peel
+from degreelab.pruefer import decode_arrays, sample_codeword, sample_forest_degrees
 from degreelab.rng import derive_rng
-from degreelab.samplers import (
-    RejectionLimitError,
-    complex_part_from_forest,
-    sample_gnm_arrays,
-    validate_core,
-)
+from degreelab.samplers import RejectionLimitError, sample_gnm_arrays, validate_core
 
 JOBS_ENV_VAR = "DEGREELAB_JOBS"
 
@@ -227,9 +218,11 @@ def _plan_for(cfg: ExperimentConfig, n: int | None) -> dict[str, Any]:
         core = SimpleGraph.from_edges(core_n, cfg.core)
         validate_core(core)
         c = conc.balanced_concentration(cfg.q)
+        core_edges = np.array(sorted(core.edges), dtype=np.int64).reshape(-1, 2)
         return {
             "q": cfg.q,
             "core": core,
+            "core_edges": (core_edges[:, 0], core_edges[:, 1]),
             "lo": math.floor(c - cfg.eps) + 1,
             "hi": math.floor(c + cfg.eps) + 1,
         }
@@ -293,15 +286,24 @@ def _run_trial(
         return _record(index, gap, None, None, aux)
 
     if kind == "complexpart_maxdegree":
+        # The complex part is the core with a uniform rooted forest grafted
+        # on, one root per core vertex; the core's edges come first.
         core: SimpleGraph = plan["core"]
-        forest = sample_uniform_forest(plan["q"], core.order, rng)
-        graph = complex_part_from_forest(core, forest)
-        observed = max_degree(graph)
-        aux["max_root_degree"] = max(
-            len(graph.adjacency[v]) for v in core.vertices
+        q, v = plan["q"], core.order
+        codeword = sample_codeword(q, v, rng)
+        forest_lo, forest_hi = decode_arrays(codeword, q, v)
+        core_us, core_vs = plan["core_edges"]
+        us = np.concatenate((core_us, forest_lo))
+        vs = np.concatenate((core_vs, forest_hi))
+        degrees = np.bincount(np.concatenate((us, vs)), minlength=q + 1)[1:]
+        alive = peel(q, us, vs)
+        kept_edges = np.flatnonzero(alive[us - 1] & alive[vs - 1])
+        aux["max_root_degree"] = int(degrees[:v].max())
+        aux["core_recovered"] = bool(
+            np.array_equal(np.flatnonzero(alive), np.arange(v))
+            and np.array_equal(kept_edges, np.arange(core.size))
         )
-        aux["core_recovered"] = peeled_core(graph) == core
-        return _record(index, observed, plan["lo"], plan["hi"], aux)
+        return _record(index, int(degrees.max()), plan["lo"], plan["hi"], aux)
 
     if kind == "decomposition_stats":
         try:
@@ -311,23 +313,25 @@ def _run_trial(
         except RejectionLimitError as err:
             aux.update(error="rejection_limit", attempts=err.report.attempts)
             return _record(index, None, None, None, aux)
-        graph = SimpleGraph.from_arrays(plan["n"], us, vs)
-        parts = decompose(graph)
-        core_comp_sizes = (
-            [len(c) for c in components(parts.core)] if parts.core.vertices else []
+        core, big, small = decompose_masks(plan["n"], us, vs)
+        core_edge = core[us - 1] & core[vs - 1]
+        core_degrees = np.bincount(
+            np.concatenate((us[core_edge], vs[core_edge])), minlength=plan["n"] + 1
         )
+        core_max_degree = int(core_degrees.max())
+        rest = ~(big | small)
         aux.update(
             attempts=report.attempts,
-            core_vertices=parts.core.order,
-            core_edges=parts.core.size,
-            core_max_degree=max_degree(parts.core),
-            largest_core_component=max(core_comp_sizes, default=0),
-            qL_vertices=parts.big_complex.order,
-            qS_vertices=parts.small_complex.order,
-            u_vertices=parts.non_complex.order,
-            u_edges=parts.non_complex.size,
+            core_vertices=int(np.count_nonzero(core)),
+            core_edges=int(np.count_nonzero(core_edge)),
+            core_max_degree=core_max_degree,
+            largest_core_component=int(np.count_nonzero(core & big)),
+            qL_vertices=int(np.count_nonzero(big)),
+            qS_vertices=int(np.count_nonzero(small)),
+            u_vertices=int(np.count_nonzero(rest)),
+            u_edges=int(np.count_nonzero(rest[us - 1])),
         )
-        return _record(index, max_degree(parts.core), None, None, aux)
+        return _record(index, core_max_degree, None, None, aux)
 
     raise ValueError(f"unknown experiment {kind!r}")
 
@@ -346,7 +350,12 @@ def default_jobs() -> int:
     value = os.environ.get(JOBS_ENV_VAR)
     if value is None:
         return 1
-    jobs = int(value)
+    try:
+        jobs = int(value)
+    except ValueError:
+        raise ValueError(
+            f"{JOBS_ENV_VAR} must be a positive integer, got {value!r}"
+        ) from None
     if jobs < 1:
         raise ValueError(f"{JOBS_ENV_VAR} must be a positive integer, got {value}")
     return jobs

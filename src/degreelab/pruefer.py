@@ -17,6 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from degreelab.graphs import component_stats
+
 Edge = tuple[int, int]
 
 
@@ -62,24 +64,13 @@ class RootedForest:
 
     def validate(self) -> None:
         """Check acyclicity and the one-root-per-component placement."""
-        parent = list(range(self.n + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise ValueError(f"edge ({u}, {v}) closes a cycle")
-            parent[ru] = rv
-        root_components = {find(r) for r in range(1, self.t + 1)}
-        if len(root_components) != self.t:
+        pairs = np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2)
+        labels, vertex_counts, _ = component_stats(self.n, pairs[:, 0], pairs[:, 1])
+        # n - t edges leave exactly t components iff they close no cycle.
+        if vertex_counts.size != self.t:
+            raise ValueError("the edges close a cycle")
+        if np.unique(labels[: self.t]).size != self.t:
             raise ValueError("two roots share a component")
-        # n - t successful unions on an acyclic edge set leave exactly t
-        # components, so the component count needs no separate check.
 
     def degree(self, v: int) -> int:
         if not 1 <= v <= self.n:
@@ -132,59 +123,79 @@ def encode(forest: RootedForest) -> PrueferSequence:
 
 
 def _sequence_entries(
-    sequence: PrueferSequence | Sequence[int] | Iterable[int],
-) -> tuple[int, ...]:
+    sequence: PrueferSequence | Sequence[int] | Iterable[int] | np.ndarray,
+) -> np.ndarray:
     if isinstance(sequence, PrueferSequence):
-        return sequence.entries
-    return tuple(sequence)
+        sequence = sequence.entries
+    entries = np.asarray(
+        sequence if isinstance(sequence, np.ndarray) else tuple(sequence)
+    )
+    if entries.size and entries.dtype.kind not in "iu":
+        raise ValueError(f"codeword entries must be integers, got {entries.dtype}")
+    return entries.astype(np.int64, copy=False)
 
 
-def _validate_sequence(entries: tuple[int, ...], n: int, t: int) -> None:
+def _validate_sequence(entries: np.ndarray, n: int, t: int) -> None:
     _require_codable(n, t)
-    if len(entries) != n - t:
+    if entries.shape != (n - t,):
         raise ValueError(
-            f"a codeword for F({n}, {t}) has length {n - t}, got {len(entries)}"
+            f"a codeword for F({n}, {t}) has length {n - t}, got {entries.size}"
         )
-    for w in entries[:-1]:
-        if not 1 <= w <= n:
-            raise ValueError(f"entry {w} is outside [1, {n}]")
+    body = entries[:-1]
+    if body.size and not (1 <= body.min() and body.max() <= n):
+        bad = body[(body < 1) | (body > n)][0]
+        raise ValueError(f"entry {bad} is outside [1, {n}]")
     if not 1 <= entries[-1] <= t:
         raise ValueError(
             f"the last entry must be a root in [1, {t}], got {entries[-1]}"
         )
 
 
-def decode(
-    sequence: PrueferSequence | Sequence[int], n: int, t: int
-) -> RootedForest:
-    """Rooted forest encoded by a codeword; inverse of ``encode``.
+def decode_arrays(
+    sequence: PrueferSequence | Sequence[int] | np.ndarray, n: int, t: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edges of the forest encoded by a codeword, as (lo, hi) endpoint arrays.
 
-    Starts from the degree sequence implied by the codeword (occurrence
-    count, plus one for non-roots) and repeatedly matches the next codeword
-    entry with the largest-label vertex of current degree one.
+    Edge i joins codeword entry i to the leaf removed at step i, with the
+    smaller endpoint in ``lo``.  The degree of each vertex starts at its
+    occurrence count, plus one for non-roots.  The leaf matched to an entry
+    is the largest vertex of current degree one, found in linear time: a
+    pointer scans downward for the next such vertex, and an entry whose
+    degree drops to one above the pointer is the next leaf at once, because
+    no other vertex above the pointer has degree one (Wang, Wang & Wu, "An
+    optimal algorithm for Prüfer codes", 2009).
     """
     entries = _sequence_entries(sequence)
     _validate_sequence(entries, n, t)
-
-    degree = [0] * (n + 1)
-    for w in entries:
-        degree[w] += 1
-    for v in range(t + 1, n + 1):
-        degree[v] += 1
-
-    heap = [-v for v in range(1, n + 1) if degree[v] == 1]
-    heapq.heapify(heap)
-    edges: list[Edge] = []
-    for w in entries:
-        leaf = -heapq.heappop(heap)
-        while degree[leaf] != 1:
-            leaf = -heapq.heappop(heap)
-        degree[leaf] -= 1
+    degree = np.bincount(entries, minlength=n + 1)
+    degree[t + 1 :] += 1
+    degree = degree.tolist()
+    leaves: list[int] = []
+    ptr = n
+    while degree[ptr] != 1:
+        ptr -= 1
+    leaf = ptr
+    for w in entries[:-1].tolist():
+        leaves.append(leaf)
         degree[w] -= 1
-        if degree[w] == 1:
-            heapq.heappush(heap, -w)
-        edges.append((w, leaf) if w < leaf else (leaf, w))
-    return RootedForest(n=n, t=t, edges=frozenset(edges))
+        if degree[w] == 1 and w > ptr:
+            leaf = w
+        else:
+            ptr -= 1
+            while degree[ptr] != 1:
+                ptr -= 1
+            leaf = ptr
+    leaves.append(leaf)
+    others = np.array(leaves, dtype=np.int64)
+    return np.minimum(entries, others), np.maximum(entries, others)
+
+
+def decode(
+    sequence: PrueferSequence | Sequence[int] | np.ndarray, n: int, t: int
+) -> RootedForest:
+    """Rooted forest encoded by a codeword; inverse of ``encode``."""
+    lo, hi = decode_arrays(sequence, n, t)
+    return RootedForest(n=n, t=t, edges=frozenset(zip(lo.tolist(), hi.tolist())))
 
 
 def degree_from_sequence(
@@ -199,7 +210,7 @@ def degree_from_sequence(
     _validate_sequence(entries, n, t)
     if not 1 <= v <= n:
         raise ValueError(f"vertex {v} is outside [1, {n}]")
-    count = entries.count(v)
+    count = int(np.count_nonzero(entries == v))
     return count + 1 if v > t else count
 
 
@@ -209,12 +220,22 @@ def count_forests(n: int, t: int) -> int:
     return t * n ** (n - t - 1)
 
 
-def sample_uniform_forest(n: int, t: int, rng: np.random.Generator) -> RootedForest:
-    """Uniform sample from F(n, t) via a uniform codeword."""
+def _draw_codeword(n: int, t: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     _require_codable(n, t)
     body = rng.integers(1, n + 1, size=n - t - 1, dtype=np.int64)
     last = int(rng.integers(1, t + 1))
-    return decode(tuple(body.tolist()) + (last,), n, t)
+    return body, last
+
+
+def sample_codeword(n: int, t: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform codeword for F(n, t): n - t - 1 entries in [n], then a root."""
+    body, last = _draw_codeword(n, t, rng)
+    return np.append(body, last)
+
+
+def sample_uniform_forest(n: int, t: int, rng: np.random.Generator) -> RootedForest:
+    """Uniform sample from F(n, t) via a uniform codeword."""
+    return decode(sample_codeword(n, t, rng), n, t)
 
 
 def sample_forest_degrees(n: int, t: int, rng: np.random.Generator) -> np.ndarray:
@@ -225,9 +246,7 @@ def sample_forest_degrees(n: int, t: int, rng: np.random.Generator) -> np.ndarra
     ``sample_uniform_forest``, so the same seed yields the degrees of the
     same forest.
     """
-    _require_codable(n, t)
-    body = rng.integers(1, n + 1, size=n - t - 1, dtype=np.int64)
-    last = int(rng.integers(1, t + 1))
+    body, last = _draw_codeword(n, t, rng)
     degrees = np.bincount(body, minlength=n + 1)[1:]
     degrees[last - 1] += 1
     degrees[t:] += 1

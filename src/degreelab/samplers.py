@@ -17,11 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from degreelab.balls_bins import LocationVector
-from degreelab.graphs import MultiGraph, SimpleGraph
+from degreelab.graphs import MultiGraph, SimpleGraph, has_complex_component
 from degreelab.pruefer import RootedForest, sample_uniform_forest
 
 REJECT_LOOP = "loop"
@@ -63,21 +61,6 @@ def multigraph_from_locations(location: LocationVector) -> MultiGraph:
         (int(entries[2 * i]), int(entries[2 * i + 1])) for i in range(location.k // 2)
     )
     return MultiGraph(n=location.n_bins, edges=pairs)
-
-
-def _has_complex_component(n: int, us: np.ndarray, vs: np.ndarray) -> bool:
-    """True iff some component of the simple graph (us[i], vs[i]) has
-    edge count >= vertex count + 1."""
-    m = us.size
-    if m == 0:
-        return False
-    adjacency = coo_matrix(
-        (np.ones(m, dtype=np.int8), (us - 1, vs - 1)), shape=(n, n)
-    )
-    n_comp, labels = connected_components(adjacency, directed=False)
-    vertex_counts = np.bincount(labels, minlength=n_comp)
-    edge_counts = np.bincount(labels[us - 1], minlength=n_comp)
-    return bool(np.any(edge_counts >= vertex_counts + 1))
 
 
 def sample_gnm_arrays(
@@ -122,7 +105,7 @@ def sample_gnm_arrays(
             if np.unique(codes).size < m:
                 report.reject_reasons[REJECT_PARALLEL] += 1
                 continue
-            if require_noncomplex and _has_complex_component(n, us, vs):
+            if require_noncomplex and has_complex_component(n, us, vs):
                 report.reject_reasons[REJECT_COMPLEX] += 1
                 continue
         report.accepted = True

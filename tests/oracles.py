@@ -7,7 +7,9 @@ routes can check each other.
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -128,6 +130,32 @@ def naive_largest_leaf_peeling(n: int, t: int, edges: frozenset[Edge]):
     return recorded, removed
 
 
+def heap_decode(entries, n: int, t: int) -> frozenset[Edge]:
+    """Reference decoder: a max-heap of the vertices of current degree one.
+
+    Degrees start at the occurrence count in the codeword, plus one for
+    non-roots; each entry is matched with the largest vertex of degree one.
+    """
+    degree = [0] * (n + 1)
+    for w in entries:
+        degree[w] += 1
+    for v in range(t + 1, n + 1):
+        degree[v] += 1
+    heap = [-v for v in range(1, n + 1) if degree[v] == 1]
+    heapq.heapify(heap)
+    edges = []
+    for w in entries:
+        leaf = -heapq.heappop(heap)
+        while degree[leaf] != 1:
+            leaf = -heapq.heappop(heap)
+        degree[leaf] -= 1
+        degree[w] -= 1
+        if degree[w] == 1:
+            heapq.heappush(heap, -w)
+        edges.append((w, leaf) if w < leaf else (leaf, w))
+    return frozenset(edges)
+
+
 def component_stats(n: int, edges) -> list[tuple[int, int]]:
     """(vertex count, edge count) per component."""
     comps = union_find_components(n, edges)
@@ -140,6 +168,88 @@ def component_stats(n: int, edges) -> list[tuple[int, int]]:
 
 def has_complex_component(n: int, edges) -> bool:
     return any(m_c >= n_c + 1 for n_c, m_c in component_stats(n, edges))
+
+
+def _dict_adjacency(vertices, edges) -> dict[int, list[int]]:
+    adjacency: dict[int, list[int]] = {v: [] for v in vertices}
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return adjacency
+
+
+def bfs_components(vertices, edges) -> list[tuple[int, ...]]:
+    """Components by breadth-first search over a dict adjacency, each sorted,
+    ordered by (size desc, min label asc)."""
+    adjacency = _dict_adjacency(vertices, edges)
+    seen: set[int] = set()
+    comps: list[tuple[int, ...]] = []
+    for start in sorted(vertices):
+        if start in seen:
+            continue
+        queue = deque([start])
+        seen.add(start)
+        comp = [start]
+        while queue:
+            v = queue.popleft()
+            for w in adjacency[v]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    queue.append(w)
+        comps.append(tuple(sorted(comp)))
+    comps.sort(key=lambda c: (-len(c), c[0]))
+    return comps
+
+
+def queue_peel(vertices, edges) -> set[int]:
+    """Vertices of the classical 2-core: a queue of degree <= 1 vertices."""
+    adjacency = _dict_adjacency(vertices, edges)
+    degree = {v: len(ns) for v, ns in adjacency.items()}
+    alive = set(adjacency)
+    queue = deque(v for v, d in degree.items() if d <= 1)
+    while queue:
+        v = queue.popleft()
+        if v not in alive or degree[v] > 1:
+            continue
+        alive.discard(v)
+        for w in adjacency[v]:
+            if w in alive:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    queue.append(w)
+    return alive
+
+
+def _edges_within(edges, members) -> list[Edge]:
+    return [e for e in edges if e[0] in members and e[1] in members]
+
+
+def dict_decompose(vertices, edges):
+    """(core, big, small, rest) vertex sets, by the dict algorithms.
+
+    The core is the peeled graph without its bare-cycle components; the big
+    part is the complex component holding the first core component in
+    ``bfs_components`` order, the small part the other complex components.
+    """
+    peeled = queue_peel(vertices, edges)
+    peeled_edges = _edges_within(edges, peeled)
+    core = set()
+    for comp in bfs_components(peeled, peeled_edges):
+        if len(_edges_within(peeled_edges, set(comp))) > len(comp):
+            core.update(comp)
+    complex_comps = [
+        set(comp)
+        for comp in bfs_components(vertices, edges)
+        if len(_edges_within(edges, set(comp))) >= len(comp) + 1
+    ]
+    big: set[int] = set()
+    if core:
+        largest = set(bfs_components(core, _edges_within(edges, core))[0])
+        big = next(comp for comp in complex_comps if largest <= comp)
+    small = set().union(*(comp for comp in complex_comps if comp != big))
+    rest = set(vertices) - big - small
+    return core, big, small, rest
 
 
 def networkx_planar(n: int, edges) -> bool:

@@ -10,8 +10,10 @@ from degreelab.graphs import (
     PlanarityLimitError,
     SimpleGraph,
     complete_graph_edges,
+    component_stats,
     components,
     decompose,
+    decompose_masks,
     degree_sequence,
     format_edge_list,
     induced_subgraph,
@@ -20,12 +22,19 @@ from degreelab.graphs import (
     isolated_counts,
     max_degree,
     parse_edge_list,
+    peel,
     peeled_core,
     planarity_table,
     two_core,
 )
 
-from oracles import networkx_planar
+from oracles import (
+    bfs_components,
+    dict_decompose,
+    networkx_planar,
+    queue_peel,
+    union_find_components,
+)
 
 BOWTIE = [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)]  # two triangles at 1
 
@@ -55,6 +64,22 @@ class TestSimpleGraphBasics:
         assert SimpleGraph.from_arrays(5, us, vs) == SimpleGraph.from_edges(
             5, [(1, 3), (2, 4), (4, 5)]
         )
+
+    @pytest.mark.parametrize(
+        "us, vs",
+        [
+            pytest.param([0, 1], [2, 3], id="label-below-one"),
+            pytest.param([1, 2], [2, 6], id="label-above-n"),
+            pytest.param([1, 3], [2, 3], id="loop"),
+            pytest.param([1, 1], [2, 2], id="repeated-edge"),
+            pytest.param([1, 2], [2, 1], id="repeated-edge-reversed"),
+            pytest.param([1, 2], [2], id="unequal-lengths"),
+            pytest.param([1.0, 2.0], [2.0, 3.0], id="non-integer-labels"),
+        ],
+    )
+    def test_from_arrays_rejects_bad_input(self, us, vs):
+        with pytest.raises(ValueError):
+            SimpleGraph.from_arrays(5, np.array(us), np.array(vs))
 
     def test_degree_and_adjacency(self):
         graph = SimpleGraph.from_edges(4, [(1, 2), (1, 3)])
@@ -277,6 +302,118 @@ class TestDecompose:
                 assert two_core(parts.small_complex) == induced_subgraph(
                     parts.core, rest
                 )
+
+
+def random_graph_arrays(rng, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays of a uniform simple graph on [n] with m edges."""
+    pairs = np.array(complete_graph_edges(n), dtype=np.int64).reshape(-1, 2)
+    chosen = pairs[rng.choice(len(pairs), size=m, replace=False)]
+    return chosen[:, 0], chosen[:, 1]
+
+
+def relabelled_union(rng, pieces) -> tuple[int, np.ndarray, np.ndarray]:
+    """Disjoint union of edge lists on [k] each, under a random relabelling."""
+    edges, offset = [], 0
+    for k, piece in pieces:
+        edges.extend((u + offset, v + offset) for u, v in piece)
+        offset += k
+    labels = rng.permutation(offset) + 1
+    arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return offset, labels[arr[:, 0] - 1], labels[arr[:, 1] - 1]
+
+
+CYCLE5 = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
+PATH4 = [(1, 2), (2, 3), (3, 4)]
+THETA = [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (4, 5), (5, 6)]
+
+
+def kernel_cases():
+    """Random graphs around the critical density, plus unions that have bare
+    cycles, pendant trees and more than one complex component."""
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        m = int(rng.integers(0, min(n * (n - 1) // 2, int(1.3 * n) + 1) + 1))
+        yield (n, *random_graph_arrays(rng, n, m))
+    mixes = [
+        [(5, BOWTIE), (6, THETA), (5, CYCLE5), (4, PATH4), (1, [])],
+        [(5, BOWTIE), (5, BOWTIE), (6, THETA)],
+        [(5, CYCLE5), (5, CYCLE5), (4, PATH4)],
+        [(6, THETA), (5, BOWTIE), (3, [(1, 2), (2, 3), (1, 3)])],
+    ]
+    for mix in mixes:
+        for _ in range(5):
+            yield relabelled_union(rng, mix)
+
+
+class TestArrayKernels:
+    def test_peel_matches_queue_oracle(self):
+        for n, us, vs in kernel_cases():
+            edges = list(zip(us.tolist(), vs.tolist()))
+            alive = peel(n, us, vs)
+            assert set((np.flatnonzero(alive) + 1).tolist()) == queue_peel(
+                range(1, n + 1), edges
+            )
+
+    def test_component_stats_matches_union_find(self):
+        for n, us, vs in kernel_cases():
+            edges = list(zip(us.tolist(), vs.tolist()))
+            labels, vertex_counts, edge_counts = component_stats(n, us, vs)
+            found = {}
+            for v, c in enumerate(labels.tolist(), start=1):
+                found.setdefault(c, set()).add(v)
+            oracle = union_find_components(n, edges)
+            assert sorted(map(sorted, found.values())) == sorted(map(sorted, oracle))
+            for c, members in found.items():
+                assert vertex_counts[c] == len(members)
+                assert edge_counts[c] == sum(1 for u, _ in edges if u in members)
+            assert sorted(tuple(sorted(c)) for c in found.values()) == sorted(
+                bfs_components(range(1, n + 1), edges)
+            )
+
+    def test_decompose_masks_match_dict_oracle(self):
+        seen_small = seen_bare_cycle = 0
+        for n, us, vs in kernel_cases():
+            edges = list(zip(us.tolist(), vs.tolist()))
+            masks = decompose_masks(n, us, vs)
+            sets = [set((np.flatnonzero(mask) + 1).tolist()) for mask in masks]
+            core, big, small, rest = dict_decompose(range(1, n + 1), edges)
+            assert sets == [core, big, small]
+            assert set(range(1, n + 1)) - sets[1] - sets[2] == rest
+            seen_small += bool(small)
+            seen_bare_cycle += bool(queue_peel(range(1, n + 1), edges) - core)
+        assert seen_small >= 10 and seen_bare_cycle >= 10
+
+    def test_bare_cycle_is_peeled_but_not_core(self):
+        n, us, vs = 5, np.array([1, 2, 3, 4, 1]), np.array([2, 3, 4, 5, 5])
+        assert peel(n, us, vs).all()
+        core, big, small = decompose_masks(n, us, vs)
+        assert not (core.any() or big.any() or small.any())
+
+    def test_empty_and_edgeless(self):
+        empty = np.zeros(0, dtype=np.int64)
+        labels, vertex_counts, edge_counts = component_stats(0, empty, empty)
+        assert labels.size == vertex_counts.size == edge_counts.size == 0
+        assert peel(0, empty, empty).size == 0
+        labels, vertex_counts, edge_counts = component_stats(4, empty, empty)
+        assert vertex_counts.tolist() == [1, 1, 1, 1]
+        assert edge_counts.tolist() == [0, 0, 0, 0]
+        assert not peel(4, empty, empty).any()
+        assert components(SimpleGraph.from_edges(0)) == []
+
+    def test_graph_operations_on_relabelled_vertex_sets(self):
+        # Subgraphs keep their original labels; the kernels see positions.
+        graph = SimpleGraph(
+            vertices=(3, 8, 9, 20, 21, 40),
+            edges=frozenset(
+                {(3, 8), (8, 9), (3, 9), (9, 20), (20, 21), (3, 21), (21, 40)}
+            ),
+        )
+        assert components(graph) == [(3, 8, 9, 20, 21, 40)]
+        assert peeled_core(graph).vertices == (3, 8, 9, 20, 21)
+        assert two_core(graph).vertices == (3, 8, 9, 20, 21)
+        assert decompose(graph).non_complex.vertices == ()
+        assert is_complex_component(graph, (3, 8, 9, 20, 21, 40))
 
 
 class TestIsolatedCounts:

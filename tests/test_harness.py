@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from degreelab.harness import (
@@ -210,6 +212,11 @@ class TestRunExperiment:
         monkeypatch.setenv("DEGREELAB_JOBS", "3")
         assert default_jobs() == 3
 
+    def test_non_integer_jobs_env_names_variable_and_value(self, monkeypatch):
+        monkeypatch.setenv("DEGREELAB_JOBS", "two")
+        with pytest.raises(ValueError, match="DEGREELAB_JOBS.*'two'"):
+            default_jobs()
+
 
 class TestEmit:
     def test_empty_records_header_only(self, tmp_path):
@@ -260,3 +267,39 @@ class TestEmit:
             emit(result.records, "csv", str(path), summary=result.summary)
             paths.append(path.read_bytes())
         assert paths[0] == paths[1] == paths[2]
+
+
+TRIANGLE = ((1, 2), (1, 3), (2, 3))
+
+#: SHA-256 of the CSV emitted by small graph-structure campaigns, recorded
+#: with the dict-based graph code and the heap decoder that the array
+#: kernels replaced.  A change in any record, or a numpy scalar leaking into
+#: ``auxiliary`` (which json cannot encode), changes or breaks the bytes.
+PINNED_CSV = {
+    "complexpart_maxdegree": (
+        ExperimentConfig(
+            experiment="complexpart_maxdegree",
+            q=2000,
+            core=TRIANGLE,
+            trials=8,
+            seed=20261018,
+        ),
+        "a7e18a3d4001c33021f5ca70161b9d9c94ed0d2b3f9e636a5eaef6fc9ff64fa1",
+    ),
+    "decomposition_stats": (
+        ExperimentConfig(
+            experiment="decomposition_stats", n=2000, m=1200, trials=8, seed=20261018
+        ),
+        "4df9c7eaa1337eb856dab42b5237db48be00bad7ba77fc7060ed0c1f3dc4a815",
+    ),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("kind", sorted(PINNED_CSV))
+def test_structure_campaign_csv_bytes_are_pinned(kind, jobs, tmp_path):
+    cfg, digest = PINNED_CSV[kind]
+    result = run_experiment(cfg, jobs=jobs)
+    path = tmp_path / f"{kind}.csv"
+    emit(result.records, "csv", str(path), summary=result.summary)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

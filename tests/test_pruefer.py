@@ -14,6 +14,7 @@ from degreelab.pruefer import (
     RootedForest,
     count_forests,
     decode,
+    decode_arrays,
     degree_from_sequence,
     encode,
     sample_forest_degrees,
@@ -25,6 +26,7 @@ from oracles import (
     all_forests,
     forest_degree_law,
     forest_degrees,
+    heap_decode,
     loads_plus_roots_law,
     naive_largest_leaf_peeling,
 )
@@ -111,6 +113,29 @@ class TestDecode:
                         assert encode(forest).entries == codeword
                         forests.add(forest.edges)
                 assert len(forests) == count_forests(n, t)
+
+    def test_pointer_decode_matches_heap_decode_exhaustively(self):
+        for n in range(2, 7):
+            for t in range(1, n):
+                for body in product(range(1, n + 1), repeat=n - t - 1):
+                    for last in range(1, t + 1):
+                        codeword = body + (last,)
+                        lo, hi = decode_arrays(codeword, n, t)
+                        assert (lo < hi).all()
+                        edges = frozenset(zip(lo.tolist(), hi.tolist()))
+                        assert edges == heap_decode(codeword, n, t)
+
+    def test_pointer_decode_matches_heap_decode_at_1e4(self):
+        rng = np.random.default_rng(10_000)
+        n = 10_000
+        for t in (1, 3, 100, 5_000, n - 1):
+            codeword = np.append(
+                rng.integers(1, n + 1, size=n - t - 1), rng.integers(1, t + 1)
+            )
+            lo, hi = decode_arrays(codeword, n, t)
+            edges = frozenset(zip(lo.tolist(), hi.tolist()))
+            assert len(edges) == n - t
+            assert edges == heap_decode(codeword.tolist(), n, t)
 
     def test_roundtrip_all_forests_small(self):
         for n, t in ((4, 2), (5, 1), (5, 2), (5, 4), (6, 3)):

@@ -11,6 +11,7 @@ import pytest
 
 from degreelab.balls_bins import LocationVector
 from degreelab.concentration import balanced_concentration, concentration_point
+from degreelab import graphs
 from degreelab.graphs import (
     SimpleGraph,
     complete_graph_edges,
@@ -30,7 +31,6 @@ from degreelab.samplers import (
     sample_gnm,
     sample_gnm_arrays,
     sample_noncomplex,
-    _has_complex_component,
 )
 
 from oracles import has_complex_component
@@ -170,7 +170,7 @@ class TestSampleNoncomplex:
             for chosen in combinations(all_edges, m):
                 us = np.array([e[0] for e in chosen])
                 vs = np.array([e[1] for e in chosen])
-                assert _has_complex_component(6, us, vs) == has_complex_component(
+                assert graphs.has_complex_component(6, us, vs) == has_complex_component(
                     6, set(chosen)
                 )
 
