@@ -24,6 +24,7 @@ from degreelab.balls_bins import loads as bin_loads
 from degreelab.balls_bins import max_load, sample_locations
 from degreelab.dense_ops import sweep_ratio_bounds
 from degreelab.graphs import (
+    ENUMERATION_LIMIT,
     SimpleGraph,
     decompose,
     format_edge_list,
@@ -34,6 +35,20 @@ from degreelab.graphs import (
 from degreelab.pruefer import encode, sample_forest_degrees, sample_uniform_forest
 from degreelab.rng import derive_rng
 from degreelab.samplers import build_complex_part, sample_gnm, sample_noncomplex
+
+
+def _enumeration_order(text: str) -> int:
+    """argparse type for the exhaustive sweeps' vertex count, 1..ENUMERATION_LIMIT."""
+    span = f"1..{ENUMERATION_LIMIT}"
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in {span}, got {text!r}"
+        ) from None
+    if not 1 <= n <= ENUMERATION_LIMIT:
+        raise argparse.ArgumentTypeError(f"must lie in {span}, got {n}")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="exhaustive class enumeration")
     enum_sub = p_enum.add_subparsers(dest="what", required=True)
     p_ratio = enum_sub.add_parser("dense-ratio", help="degree-raising ratio sweep")
-    p_ratio.add_argument("--n", type=int, required=True)
+    p_ratio.add_argument("--n", type=_enumeration_order, required=True)
     p_ratio.add_argument("--planar", action="store_true", help="restrict to planar graphs")
 
     p_exp = sub.add_parser("experiment", help="Monte Carlo campaigns")

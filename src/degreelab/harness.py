@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
@@ -46,6 +47,15 @@ EXPERIMENTS = (
     "decomposition_stats",
     "dense_ratio",
 )
+
+
+def _check_count(name: str, value: Any, minimum: int) -> None:
+    """Raise ValueError unless ``value`` is an integer >= minimum (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        kind = "a positive" if minimum == 1 else "a non-negative"
+        raise ValueError(f"{name} must be {kind} integer, got {value}")
 
 
 @dataclass(frozen=True)
@@ -78,12 +88,28 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
             )
-        if self.trials < 1:
-            raise ValueError(f"trials must be a positive integer, got {self.trials}")
+        if isinstance(self.n, (list, tuple)):
+            if not self.n:
+                raise ValueError("n must be an integer or a non-empty grid, got []")
+            for v in self.n:
+                _check_count("n", v, minimum=1)
+            object.__setattr__(self, "n", tuple(int(v) for v in self.n))
+        elif self.n is not None:
+            _check_count("n", self.n, minimum=1)
+        _check_count("trials", self.trials, minimum=1)
+        _check_count("max_attempts", self.max_attempts, minimum=1)
+        for name in ("m", "balls", "t", "q"):
+            if getattr(self, name) is not None:
+                _check_count(name, getattr(self, name), minimum=0)
         if self.eps <= 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if isinstance(self.n, (list, tuple)):
-            object.__setattr__(self, "n", tuple(int(v) for v in self.n))
+        rate = self.min_hit_rate
+        if rate is not None and (
+            isinstance(rate, bool)
+            or not isinstance(rate, numbers.Real)
+            or not 0 <= rate <= 1
+        ):
+            raise ValueError(f"min_hit_rate must lie in [0, 1], got {rate!r}")
         if self.core is not None:
             object.__setattr__(
                 self, "core", tuple((int(u), int(v)) for u, v in self.core)

@@ -13,6 +13,8 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 Edge = tuple[int, int]
 
 
@@ -323,6 +325,65 @@ def graph_class_count_by_assembly(
             continue
         rest_count += 1
     return placements * rest_count
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive tables by per-mask sweeps
+# ---------------------------------------------------------------------------
+#
+# Both index graphs on [n] by edge bitmask, bit i standing for the i-th pair of
+# combinations(range(1, n + 1), 2).  They test every code directly instead of
+# building the tables on the subset lattice.
+
+
+def superset_planarity_table(masks, n_edges: int, codes=None) -> np.ndarray:
+    """Planarity of each code: no Kuratowski-subdivision mask is a subset of it.
+
+    One pass over ``codes`` (default: all 2^n_edges) per subdivision mask.
+    """
+    if codes is None:
+        codes = np.arange(1 << n_edges, dtype=np.uint32)
+    codes = np.asarray(codes, dtype=np.uint32)
+    nonplanar = np.zeros(codes.size, dtype=bool)
+    for mask in masks:
+        m = np.uint32(mask)
+        np.logical_or(nonplanar, (codes & m) == m, out=nonplanar)
+    return ~nonplanar
+
+
+def bitwise_class_tally(n: int, planar: np.ndarray) -> dict:
+    """(m, k, l, d) -> (all, planar) counts by popcounts over every code.
+
+    ``planar`` is the planarity table indexed by code.
+    """
+    edges = list(combinations(range(1, n + 1), 2))
+    codes = np.arange(1 << len(edges), dtype=np.uint32)
+    incidence = [np.uint32(0)] * (n + 1)
+    for idx, (u, v) in enumerate(edges):
+        incidence[u] |= np.uint32(1 << idx)
+        incidence[v] |= np.uint32(1 << idx)
+    deg = np.stack(
+        [np.bitwise_count(codes & incidence[v]) for v in range(1, n + 1)]
+    )
+    m_arr = np.bitwise_count(codes).astype(np.int64)
+    k_arr = (deg == 0).sum(axis=0, dtype=np.int64)
+    d_arr = deg.max(axis=0).astype(np.int64)
+    l_arr = np.zeros(codes.size, dtype=np.int64)
+    for idx, (u, v) in enumerate(edges):
+        present = ((codes >> np.uint32(idx)) & np.uint32(1)).astype(bool)
+        l_arr += present & (deg[u - 1] == 1) & (deg[v - 1] == 1)
+
+    sig = m_arr + 32 * (k_arr + 8 * (l_arr + 8 * d_arr))
+    counts_all = np.bincount(sig)
+    counts_planar = np.bincount(sig[planar], minlength=counts_all.size)
+    table: dict[tuple[int, int, int, int], tuple[int, int]] = {}
+    for packed in np.nonzero(counts_all)[0]:
+        m, k, l, d = packed % 32, packed // 32 % 8, packed // 256 % 8, packed // 2048
+        table[(int(m), int(k), int(l), int(d))] = (
+            int(counts_all[packed]),
+            int(counts_planar[packed]),
+        )
+    return table
 
 
 # ---------------------------------------------------------------------------

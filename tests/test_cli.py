@@ -168,6 +168,22 @@ class TestEnumerateCommand:
         assert out.splitlines()[0] == "m,k,l,d,count_src,count_dst,bound,holds"
         assert "vacuously" in err
 
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            ("8", "must lie in 1..7, got 8"),
+            ("0", "must lie in 1..7, got 0"),
+            ("seven", "must be an integer in 1..7, got 'seven'"),
+        ],
+    )
+    def test_out_of_range_n_is_a_usage_error(self, capsys, value, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["enumerate", "dense-ratio", "--n", value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --n: {message}" in captured.err
+
 
 class TestExperimentCommand:
     def test_run_writes_output_and_is_deterministic(self, capsys, tmp_path):

@@ -17,9 +17,15 @@ from degreelab.dense_ops import (
     sweep_ratio_bounds,
     verify_ratio_bound,
 )
-from degreelab.graphs import SimpleGraph, is_planar, isolated_counts, max_degree
+from degreelab.graphs import (
+    SimpleGraph,
+    is_planar,
+    isolated_counts,
+    max_degree,
+    planarity_table,
+)
 
-from oracles import graph_class_count_by_assembly
+from oracles import bitwise_class_tally, graph_class_count_by_assembly
 
 # A 14-vertex instance in the shape of the transformation's picture: a planar
 # blob with one degree-4 vertex, three isolated edges, two isolated vertices.
@@ -165,6 +171,30 @@ class TestEnumerateClass:
             assert enumerate_class(7, m, k, l, d, True) == (
                 graph_class_count_by_assembly(7, m, k, l, d, True)
             )
+
+
+class TestClassifyAllGraphs:
+    """The doubling tally against the popcount tally it replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_doubling_tally_matches_popcount_tally(self, n):
+        expected = bitwise_class_tally(n, planarity_table(n))
+        assert dict(classify_all_graphs(n)) == expected
+
+    def test_refuses_out_of_range(self):
+        for n in (0, 8):
+            with pytest.raises(EnumerationLimitError):
+                classify_all_graphs(n)
+
+    def test_cached_table_is_read_only(self):
+        table = classify_all_graphs(4)
+        with pytest.raises(TypeError):
+            table[(1, 2, 1, 1)] = (0, 0)
+        with pytest.raises(AttributeError):
+            table.clear()
+        assert classify_all_graphs(4) is table
+        assert table[(1, 2, 1, 1)] == (6, 6)
+        assert enumerate_class(4, 1, 2, 1, 1) == 6
 
 
 class TestRatioBound:

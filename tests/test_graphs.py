@@ -9,6 +9,7 @@ from degreelab.graphs import (
     MultiGraph,
     PlanarityLimitError,
     SimpleGraph,
+    _kuratowski_masks,
     complete_graph_edges,
     component_stats,
     components,
@@ -33,6 +34,7 @@ from oracles import (
     dict_decompose,
     networkx_planar,
     queue_peel,
+    superset_planarity_table,
     union_find_components,
 )
 
@@ -496,6 +498,43 @@ class TestPlanarity:
             edges = [all_edges[i] for i in chosen]
             graph = SimpleGraph.from_edges(7, edges)
             assert is_planar(graph) == networkx_planar(7, graph.edges)
+
+
+class TestPlanarityTable:
+    """The superset closure against the per-mask superset sweep it replaced."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_closure_matches_per_mask_sweep(self, n):
+        expected = superset_planarity_table(_kuratowski_masks(n), n * (n - 1) // 2)
+        np.testing.assert_array_equal(planarity_table(n), expected)
+
+    def test_closure_matches_per_mask_sweep_on_random_codes_n7(self):
+        codes = np.random.default_rng(7_2026).integers(0, 1 << 21, size=1 << 15)
+        expected = superset_planarity_table(_kuratowski_masks(7), 21, codes)
+        np.testing.assert_array_equal(planarity_table(7)[codes], expected)
+        assert 0 < expected.sum() < codes.size
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_below_five_vertices_every_graph_is_planar(self, n):
+        # n = 0 gives a table of one entry: the empty graph.
+        assert _kuratowski_masks(n) == ()
+        table = planarity_table(n)
+        assert table.shape == (1 << (n * (n - 1) // 2),)
+        assert table.dtype == bool and table.all()
+
+    @pytest.mark.parametrize("n", [-1, 8])
+    def test_refuses_out_of_range(self, n):
+        with pytest.raises(PlanarityLimitError):
+            planarity_table(n)
+
+    def test_cached_table_is_read_only(self):
+        table = planarity_table(5)
+        with pytest.raises(ValueError, match="read-only"):
+            table[:] = False
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = False
+        assert planarity_table(5) is table
+        assert int(planarity_table(5).sum()) == (1 << 10) - 1
 
 
 class TestEdgeListFormat:

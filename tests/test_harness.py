@@ -5,9 +5,12 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from degreelab.harness import (
     CSV_COLUMNS,
+    EXPERIMENTS,
     ExperimentConfig,
     TrialRecord,
     default_jobs,
@@ -54,6 +57,86 @@ class TestConfig:
             seed=7,
         )
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("n", 1e3, "n must be an integer, got 1000.0"),
+            ("n", [100, 2.5], "n must be an integer, got 2.5"),
+            ("n", [], "n must be an integer or a non-empty grid"),
+            ("n", True, "n must be an integer, got True"),
+            ("n", 0, "n must be a positive integer, got 0"),
+            ("trials", 2.5, "trials must be an integer, got 2.5"),
+            ("trials", 0, "trials must be a positive integer, got 0"),
+            ("m", -5, "m must be a non-negative integer, got -5"),
+            ("m", 50.0, "m must be an integer, got 50.0"),
+            ("balls", -1, "balls must be a non-negative integer, got -1"),
+            ("balls", "100", "balls must be an integer, got '100'"),
+            ("t", -2, "t must be a non-negative integer, got -2"),
+            ("t", False, "t must be an integer, got False"),
+            ("q", -100, "q must be a non-negative integer, got -100"),
+            ("max_attempts", 1e4, "max_attempts must be an integer, got 10000.0"),
+            ("max_attempts", 0, "max_attempts must be a positive integer, got 0"),
+            ("min_hit_rate", 1.5, "min_hit_rate must lie in \\[0, 1\\], got 1.5"),
+            ("min_hit_rate", -0.1, "min_hit_rate must lie in \\[0, 1\\], got -0.1"),
+        ],
+    )
+    def test_bad_values_rejected_with_field_and_value(self, field, value, message):
+        data = {"experiment": "bins_concentration", "n": 100, field: value}
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(data)
+
+    @given(
+        experiment=st.sampled_from(EXPERIMENTS),
+        n=st.none()
+        | st.integers(1, 10**9)
+        | st.lists(st.integers(1, 10**9), min_size=1, max_size=4),
+        trials=st.integers(1, 10**6),
+        eps=st.floats(1e-6, 10.0),
+        seed=st.integers(0, 2**63 - 1),
+        counts=st.fixed_dictionaries(
+            {f: st.none() | st.integers(0, 10**9) for f in ("m", "balls", "t", "q")}
+        ),
+        core=st.none() | st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9))),
+        max_attempts=st.integers(1, 10**6),
+        min_hit_rate=st.none() | st.floats(0.0, 1.0),
+        planar_only=st.booleans(),
+    )
+    def test_valid_configs_round_trip_through_dict(
+        self, experiment, n, trials, eps, seed, counts, core, max_attempts,
+        min_hit_rate, planar_only,
+    ):
+        cfg = ExperimentConfig(
+            experiment=experiment, n=n, trials=trials, eps=eps, seed=seed,
+            core=core, max_attempts=max_attempts, min_hit_rate=min_hit_rate,
+            planar_only=planar_only, **counts,
+        )
+        data = cfg.to_dict()
+        assert data["n"] == n and data["trials"] == trials
+        assert ExperimentConfig.from_dict(data) == cfg
+
+    @given(
+        bad=st.one_of(
+            st.tuples(
+                st.sampled_from(["n", "trials", "max_attempts"]),
+                st.integers(max_value=0),
+            ),
+            st.tuples(
+                st.sampled_from(["m", "balls", "t", "q"]),
+                st.integers(max_value=-1),
+            ),
+            st.tuples(
+                st.just("min_hit_rate"),
+                st.floats(max_value=0.0, exclude_max=True)
+                | st.floats(min_value=1.0, exclude_min=True),
+            ),
+        )
+    )
+    def test_out_of_range_values_rejected(self, bad):
+        field, value = bad
+        data = {"experiment": "gnm_maxdegree", "n": 100, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            ExperimentConfig.from_dict(data)
 
 
 class TestRunExperiment:
@@ -202,9 +285,11 @@ class TestRunExperiment:
             trials=4,
             seed=8,
             eps=0.01,
-            min_hit_rate=1.01,
+            min_hit_rate=1.0,
         )
-        assert run_experiment(strict).summary["thresholds_met"] is False
+        strict_summary = run_experiment(strict).summary
+        assert strict_summary["hit_rate"] < 1.0
+        assert strict_summary["thresholds_met"] is False
 
     def test_default_jobs_env(self, monkeypatch):
         monkeypatch.delenv("DEGREELAB_JOBS", raising=False)
