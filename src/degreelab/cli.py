@@ -51,6 +51,15 @@ def _enumeration_order(text: str) -> int:
     return n
 
 
+def _experiment_config(path: str) -> harness.ExperimentConfig:
+    """argparse type for ``--config``: the campaign config read from a JSON file."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return harness.ExperimentConfig.from_dict(json.load(handle))
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"{path}: {exc}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="degreelab",
@@ -114,7 +123,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="Monte Carlo campaigns")
     exp_sub = p_exp.add_subparsers(dest="action", required=True)
     p_run = exp_sub.add_parser("run", help="run a campaign from a JSON config")
-    p_run.add_argument("--config", required=True, help="JSON file with the config")
+    p_run.add_argument(
+        "--config",
+        type=_experiment_config,
+        required=True,
+        help="JSON file with the config",
+    )
     p_run.add_argument("--out", help="write records to this path")
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
     p_run.add_argument("--jobs", type=int, help="parallel workers (default: env or 1)")
@@ -238,9 +252,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    with open(args.config, "r", encoding="utf-8") as handle:
-        cfg = harness.ExperimentConfig.from_dict(json.load(handle))
-    result = harness.run_experiment(cfg, jobs=args.jobs)
+    result = harness.run_experiment(args.config, jobs=args.jobs)
     if args.out:
         harness.emit(result.records, args.format, args.out, summary=result.summary)
     print(json.dumps(result.summary, sort_keys=True))

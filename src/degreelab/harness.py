@@ -49,10 +49,15 @@ EXPERIMENTS = (
 )
 
 
-def _check_count(name: str, value: Any, minimum: int) -> None:
-    """Raise ValueError unless ``value`` is an integer >= minimum (not a bool)."""
+def _check_integer(name: str, value: Any) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_count(name: str, value: Any, minimum: int) -> None:
+    """Raise ValueError unless ``value`` is an integer >= minimum (not a bool)."""
+    _check_integer(name, value)
     if value < minimum:
         kind = "a positive" if minimum == 1 else "a non-negative"
         raise ValueError(f"{name} must be {kind} integer, got {value}")
@@ -97,12 +102,22 @@ class ExperimentConfig:
         elif self.n is not None:
             _check_count("n", self.n, minimum=1)
         _check_count("trials", self.trials, minimum=1)
+        _check_integer("seed", self.seed)
         _check_count("max_attempts", self.max_attempts, minimum=1)
         for name in ("m", "balls", "t", "q"):
             if getattr(self, name) is not None:
                 _check_count(name, getattr(self, name), minimum=0)
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        eps = self.eps
+        if (
+            isinstance(eps, bool)
+            or not isinstance(eps, numbers.Real)
+            or not 0 < eps < math.inf
+        ):
+            raise ValueError(f"eps must be a positive finite number, got {eps!r}")
+        if not isinstance(self.planar_only, bool):
+            raise ValueError(
+                f"planar_only must be true or false, got {self.planar_only!r}"
+            )
         rate = self.min_hit_rate
         if rate is not None and (
             isinstance(rate, bool)
@@ -125,10 +140,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"a config must be an object, got {type(data).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        if "experiment" not in data:
+            raise ValueError("a config needs an 'experiment' field")
         return cls(**data)
 
     def to_dict(self) -> dict[str, Any]:

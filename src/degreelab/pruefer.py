@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from degreelab.graphs import component_stats
+from degreelab.graphs import _distinct, component_stats
 
 Edge = tuple[int, int]
 
@@ -69,7 +69,7 @@ class RootedForest:
         # n - t edges leave exactly t components iff they close no cycle.
         if vertex_counts.size != self.t:
             raise ValueError("the edges close a cycle")
-        if np.unique(labels[: self.t]).size != self.t:
+        if _distinct(labels[: self.t]).size != self.t:
             raise ValueError("two roots share a component")
 
     def degree(self, v: int) -> int:

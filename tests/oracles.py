@@ -172,6 +172,43 @@ def has_complex_component(n: int, edges) -> bool:
     return any(m_c >= n_c + 1 for n_c, m_c in component_stats(n, edges))
 
 
+def unique_rejection_loop(
+    n: int, m: int, rng, max_attempts: int, require_noncomplex: bool = False
+):
+    """The G(n, m) rejection loop with a hash-based ``np.unique`` simplicity check.
+
+    This is the loop ``samplers.sample_gnm_arrays`` ran before its
+    parallel-edge check became a sort, with the union-find complex check
+    above.  Returns (us, vs, loads, attempts, accepted, reject_reasons); the
+    arrays are None when all ``max_attempts`` draws were rejected.
+    """
+    reasons = {"loop": 0, "parallel_edge": 0, "complex_component": 0}
+    attempts = 0
+    while attempts < max_attempts:
+        attempts += 1
+        entries = rng.integers(1, n + 1, size=2 * m, dtype=np.int64)
+        us = entries[0::2]
+        vs = entries[1::2]
+        if m:
+            if np.any(us == vs):
+                reasons["loop"] += 1
+                continue
+            lo = np.minimum(us, vs)
+            hi = np.maximum(us, vs)
+            codes = lo * np.int64(n + 1) + hi
+            if np.unique(codes).size < m:
+                reasons["parallel_edge"] += 1
+                continue
+            if require_noncomplex and has_complex_component(
+                n, list(zip(us.tolist(), vs.tolist()))
+            ):
+                reasons["complex_component"] += 1
+                continue
+        loads = np.bincount(entries, minlength=n + 1)[1:]
+        return us, vs, loads, attempts, True, reasons
+    return None, None, None, attempts, False, reasons
+
+
 def _dict_adjacency(vertices, edges) -> dict[int, list[int]]:
     adjacency: dict[int, list[int]] = {v: [] for v in vertices}
     for u, v in edges:

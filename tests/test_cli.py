@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -238,3 +239,30 @@ class TestExperimentCommand:
             cfg_path.write_text(json.dumps(payload))
             code, _, _ = run_cli(capsys, "experiment", "run", "--config", str(cfg_path))
             assert code == expected
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                '{"experiment": "bins_concentration", "n": 1e3}',
+                "n must be an integer, got 1000.0",
+            ),
+            (
+                '{"experiment": "bins_concentration", "n": 10, "nope": 1}',
+                "unknown config fields: \\['nope'\\]",
+            ),
+            ('{"experiment": "bins_concentration", "n": ', "Expecting value"),
+            ('[{"experiment": "bins_concentration"}]', "a config must be an object"),
+            ('{"n": 10}', "a config needs an 'experiment' field"),
+        ],
+    )
+    def test_bad_config_is_a_usage_error(self, capsys, tmp_path, text, message):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(text)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "run", "--config", str(cfg_path)])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = re.escape(f"argument --config: {cfg_path}: ")
+        assert re.search(prefix + message, captured.err)

@@ -28,6 +28,8 @@ from degreelab.graphs import (
     planarity_table,
     two_core,
 )
+from degreelab.pruefer import RootedForest
+from degreelab.samplers import sample_gnm_arrays
 
 from oracles import (
     bfs_components,
@@ -385,6 +387,43 @@ class TestArrayKernels:
             seen_small += bool(small)
             seen_bare_cycle += bool(queue_peel(range(1, n + 1), edges) - core)
         assert seen_small >= 10 and seen_bare_cycle >= 10
+
+    @pytest.mark.parametrize(
+        "n,edges,core",
+        [
+            # Star centre 5 loses its three leaves in one round; counting it
+            # three times would peel 4 twice and then the triangle 1-2-3.
+            (
+                8,
+                [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (5, 7), (5, 8)],
+                {1, 2, 3},
+            ),
+            # Star centre 1 with a pendant path 1-5-6: the centre and 5 both
+            # drop to degree 1 in round one; round two touches nothing alive.
+            (6, [(1, 2), (1, 3), (1, 4), (1, 5), (5, 6)], set()),
+            # A single edge: the first round's candidate array is empty.
+            (2, [(1, 2)], set()),
+        ],
+    )
+    def test_peel_counts_each_vertex_once_per_round(self, n, edges, core):
+        us, vs = (np.array(side, dtype=np.int64) for side in zip(*edges))
+        alive = set((np.flatnonzero(peel(n, us, vs)) + 1).tolist())
+        assert alive == queue_peel(range(1, n + 1), edges) == core
+
+    def test_no_hash_unique_on_the_sampling_path(self, monkeypatch):
+        # numpy >= 2.3 answers a value-only np.unique by hashing, an order of
+        # magnitude slower than sorting; the rejection loop and the peel sort.
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", refuse)
+        rng = np.random.default_rng(5)
+        for noncomplex in (False, True):
+            us, vs, _, _ = sample_gnm_arrays(
+                60, 40, rng, require_noncomplex=noncomplex
+            )
+            peel(60, us, vs)
+        RootedForest(n=4, t=2, edges=frozenset({(1, 3), (2, 4)})).validate()
 
     def test_bare_cycle_is_peeled_but_not_core(self):
         n, us, vs = 5, np.array([1, 2, 3, 4, 1]), np.array([2, 3, 4, 5, 5])

@@ -79,6 +79,17 @@ class TestConfig:
             ("max_attempts", 0, "max_attempts must be a positive integer, got 0"),
             ("min_hit_rate", 1.5, "min_hit_rate must lie in \\[0, 1\\], got 1.5"),
             ("min_hit_rate", -0.1, "min_hit_rate must lie in \\[0, 1\\], got -0.1"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("seed", "7", "seed must be an integer, got '7'"),
+            ("seed", True, "seed must be an integer, got True"),
+            ("eps", "0.3", "eps must be a positive finite number, got '0.3'"),
+            ("eps", float("nan"), "eps must be a positive finite number, got nan"),
+            ("eps", float("inf"), "eps must be a positive finite number, got inf"),
+            ("eps", True, "eps must be a positive finite number, got True"),
+            ("eps", 0, "eps must be a positive finite number, got 0"),
+            ("eps", -0.5, "eps must be a positive finite number, got -0.5"),
+            ("planar_only", "no", "planar_only must be true or false, got 'no'"),
+            ("planar_only", 1, "planar_only must be true or false, got 1"),
         ],
     )
     def test_bad_values_rejected_with_field_and_value(self, field, value, message):
@@ -129,6 +140,19 @@ class TestConfig:
                 st.just("min_hit_rate"),
                 st.floats(max_value=0.0, exclude_max=True)
                 | st.floats(min_value=1.0, exclude_min=True),
+            ),
+            st.tuples(
+                st.just("eps"),
+                st.floats(max_value=0.0)
+                | st.just(float("inf"))
+                | st.just(float("nan"))
+                | st.text()
+                | st.booleans(),
+            ),
+            st.tuples(st.just("seed"), st.floats() | st.text() | st.booleans()),
+            st.tuples(
+                st.just("planar_only"),
+                st.integers() | st.floats() | st.text() | st.none(),
             ),
         )
     )
@@ -380,11 +404,44 @@ PINNED_CSV = {
 }
 
 
+#: SHA-256 of the CSV emitted by small rejection-sampler campaigns (m = n/2),
+#: recorded with the hash-based ``np.unique`` simplicity check that the
+#: sort-based one replaced.  Trials that needed several attempts pin the
+#: rejection decisions as well as the accepted graphs.
+PINNED_SAMPLING_CSV = {
+    kind: (
+        ExperimentConfig(experiment=kind, n=2000, trials=8, seed=20261018),
+        digest,
+    )
+    for kind, digest in (
+        (
+            "gnm_maxdegree",
+            "e56b9d827b6bcb77db7205b3ebee32315c21751fbe258d25e686ac7eb339fecd",
+        ),
+        (
+            "noncomplex_maxdegree",
+            "65ca78bfd639489f065274dd1d6612af34539cbca0990867f7aaabd8a60d109f",
+        ),
+    )
+}
+
+
+def _csv_digest(cfg: ExperimentConfig, jobs: int, tmp_path) -> str:
+    result = run_experiment(cfg, jobs=jobs)
+    path = tmp_path / f"{cfg.experiment}.csv"
+    emit(result.records, "csv", str(path), summary=result.summary)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("kind", sorted(PINNED_CSV))
 def test_structure_campaign_csv_bytes_are_pinned(kind, jobs, tmp_path):
     cfg, digest = PINNED_CSV[kind]
-    result = run_experiment(cfg, jobs=jobs)
-    path = tmp_path / f"{kind}.csv"
-    emit(result.records, "csv", str(path), summary=result.summary)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert _csv_digest(cfg, jobs, tmp_path) == digest
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("kind", sorted(PINNED_SAMPLING_CSV))
+def test_sampling_campaign_csv_bytes_are_pinned(kind, jobs, tmp_path):
+    cfg, digest = PINNED_SAMPLING_CSV[kind]
+    assert _csv_digest(cfg, jobs, tmp_path) == digest

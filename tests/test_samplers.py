@@ -33,7 +33,7 @@ from degreelab.samplers import (
     sample_noncomplex,
 )
 
-from oracles import has_complex_component
+from oracles import has_complex_component, unique_rejection_loop
 
 TRIANGLE = SimpleGraph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
 BOWTIE = SimpleGraph.from_edges(5, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)])
@@ -210,6 +210,52 @@ class TestSampleNoncomplex:
             wide += lo - 1 <= top <= hi
         assert hits / 200 >= 0.5
         assert wide / 200 >= 0.95
+
+
+class TestRejectionLoopReference:
+    # (n, m, require_noncomplex): dense cases where loops, parallel edges and
+    # complex components are all common, sparse ones, and m = 0 and m = 1.
+    CASES = (
+        (30, 40, False),
+        (8, 20, False),
+        (200, 100, False),
+        (30, 25, True),
+        (12, 11, True),
+        (200, 100, True),
+        (5, 0, False),
+        (5, 0, True),
+        (5, 1, False),
+        (5, 1, True),
+    )
+
+    def test_matches_hash_unique_loop(self):
+        # A budget of 50 attempts exhausts some of the dense draws, so the
+        # reports of failed runs are compared as well.
+        seen = Counter()
+        for case, (n, m, noncomplex) in enumerate(self.CASES):
+            for i in range(25):
+                expected = unique_rejection_loop(
+                    n, m, derive_rng(5100 + case, i), 50, noncomplex
+                )
+                try:
+                    us, vs, loads, report = sample_gnm_arrays(
+                        n, m, derive_rng(5100 + case, i), 50, noncomplex
+                    )
+                except RejectionLimitError as err:
+                    us = vs = loads = None
+                    report = err.report
+                for got, want in zip((us, vs, loads), expected[:3]):
+                    if want is None:
+                        assert got is None
+                    else:
+                        np.testing.assert_array_equal(got, want)
+                assert (report.attempts, report.accepted) == expected[3:5]
+                assert report.reject_reasons == expected[5]
+                seen["accepted" if report.accepted else "exhausted"] += 1
+                seen.update(k for k, v in report.reject_reasons.items() if v)
+        assert seen["accepted"] + seen["exhausted"] == 250
+        outcomes = ("accepted", "exhausted", *report.reject_reasons)
+        assert all(seen[k] >= 5 for k in outcomes), seen
 
 
 class TestComplexPart:
