@@ -1,9 +1,10 @@
 """Labelled graphs: components, cores, decomposition, and small-scale planarity.
 
 Graph algorithms run on endpoint arrays (1-based labels on [n]):
-``component_stats`` labels components with scipy, ``peel`` computes the
-2-core by a frontier peel over a CSR index, and ``decompose_masks`` combines
-them.  The ``SimpleGraph`` functions convert their edges and call these.
+``component_stats`` labels components by hooking roots and pointer jumping
+in NumPy, ``peel`` computes the 2-core by a frontier peel over a CSR index,
+and ``decompose_masks`` combines them.  The ``SimpleGraph`` functions convert
+their edges and call these.
 
 A component is *complex* if it has at least two independent cycles (edge
 count >= vertex count + 1).  The complex part of a graph is the union of its
@@ -28,8 +29,6 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 Edge = tuple[int, int]
 
@@ -231,6 +230,41 @@ def _csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.nda
     return indptr, cols[np.argsort(rows)]
 
 
+def _component_roots(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Smallest member of the component of each vertex, for 0-based int32 edges.
+
+    Root hooking with pointer jumping (Shiloach & Vishkin, J. Algorithms
+    1982).  Each round keeps the edges whose endpoint roots differ, hooks
+    the larger root onto the smallest root it meets, and compresses only the
+    roots hooked that round, so a round costs its surviving edges and hooked
+    roots, never n.  A root is never hooked onto a larger one, so it is the
+    smallest member of its tree.  A vertex is hooked once, and at the end of
+    its round it points at a root that later rounds may hook in turn; one
+    pass per round, last round first, settles every vertex.
+    """
+    parent = np.arange(n, dtype=np.int32)
+    ru, rv = us, vs
+    rounds = []
+    while True:
+        differ = ru != rv
+        if not differ.any():
+            break
+        ru, rv = ru[differ], rv[differ]
+        hooked = np.maximum(ru, rv)
+        np.minimum.at(parent, hooked, np.minimum(ru, rv))
+        rounds.append(hooked)
+        target = parent[hooked]
+        while hooked.size:
+            grand = parent[target]
+            moving = grand != target
+            hooked, target = hooked[moving], grand[moving]
+            parent[hooked] = target
+        ru, rv = parent[ru], parent[rv]
+    for hooked in reversed(rounds):
+        parent[hooked] = parent[parent[hooked]]
+    return parent
+
+
 def component_stats(
     n: int, us: np.ndarray, vs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -238,14 +272,19 @@ def component_stats(
 
     Returns (labels, vertex_counts, edge_counts): vertex v lies in component
     labels[v - 1], and component c has vertex_counts[c] vertices and
-    edge_counts[c] edges.  A component is complex iff its edge count is at
-    least its vertex count plus one.
+    edge_counts[c] edges.  Components are numbered 0, 1, ... in the order of
+    their smallest member, and labels are ``int32``.  A component is complex
+    iff its edge count is at least its vertex count plus one.
     """
-    indptr, cols = _csr(n, us - 1, vs - 1)
-    adjacency = csr_matrix((np.ones(cols.size), cols, indptr), shape=(n, n))
-    n_comp, labels = connected_components(adjacency, directed=False)
+    if n >= 2**31:
+        raise ValueError(f"labels are int32, so n must be below 2^31, got {n}")
+    us0 = np.subtract(us, 1, dtype=np.int32)
+    roots = _component_roots(n, us0, np.subtract(vs, 1, dtype=np.int32))
+    ranks = np.cumsum(roots == np.arange(n, dtype=np.int32), dtype=np.int32)
+    n_comp = int(ranks[-1]) if n else 0
+    labels = (ranks - 1)[roots]
     vertex_counts = np.bincount(labels, minlength=n_comp)
-    edge_counts = np.bincount(labels[us - 1], minlength=n_comp)
+    edge_counts = np.bincount(labels[us0], minlength=n_comp)
     return labels, vertex_counts, edge_counts
 
 

@@ -63,6 +63,37 @@ def _check_count(name: str, value: Any, minimum: int) -> None:
         raise ValueError(f"{name} must be {kind} integer, got {value}")
 
 
+def _core_graph(value: Any) -> SimpleGraph:
+    """The core given by the edge list ``value``, checked as ``validate_core`` does.
+
+    Raises ValueError naming the field and the value unless ``value`` is a
+    list of [u, v] integer pairs forming a simple graph on [1, v] with
+    minimum degree two.
+    """
+    if isinstance(value, (str, bytes)) or not isinstance(value, (list, tuple)):
+        raise ValueError(f"core must be a list of [u, v] edges, got {value!r}")
+    for edge in value:
+        if (
+            isinstance(edge, (str, bytes))
+            or not isinstance(edge, (list, tuple))
+            or len(edge) != 2
+            or any(
+                isinstance(x, bool) or not isinstance(x, numbers.Integral)
+                for x in edge
+            )
+        ):
+            raise ValueError(
+                f"core edges must be [u, v] integer pairs, got {edge!r}"
+            )
+    edges = frozenset((int(u), int(v)) for u, v in value)
+    try:
+        core = SimpleGraph(vertices=tuple({v for e in edges for v in e}), edges=edges)
+        validate_core(core)
+    except ValueError as err:
+        raise ValueError(f"core {value!r} is not a valid core: {err}") from None
+    return core
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one Monte Carlo campaign.
@@ -126,9 +157,14 @@ class ExperimentConfig:
         ):
             raise ValueError(f"min_hit_rate must lie in [0, 1], got {rate!r}")
         if self.core is not None:
+            order = _core_graph(self.core).order
             object.__setattr__(
                 self, "core", tuple((int(u), int(v)) for u, v in self.core)
             )
+            if self.q is not None and self.q < order + 1:
+                raise ValueError(
+                    f"q must be at least v(core) + 1 = {order + 1}, got {self.q}"
+                )
 
     @property
     def n_grid(self) -> tuple[int | None, ...]:
@@ -259,9 +295,7 @@ def _plan_for(cfg: ExperimentConfig, n: int | None) -> dict[str, Any]:
     if kind == "complexpart_maxdegree":
         if cfg.q is None or cfg.core is None:
             raise ValueError("complexpart_maxdegree needs both q and core")
-        core_n = max(v for e in cfg.core for v in e)
-        core = SimpleGraph.from_edges(core_n, cfg.core)
-        validate_core(core)
+        core = _core_graph(cfg.core)
         c = conc.balanced_concentration(cfg.q)
         core_edges = np.array(sorted(core.edges), dtype=np.int64).reshape(-1, 2)
         return {

@@ -10,6 +10,7 @@ parallelism.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import default_rng
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -36,4 +37,4 @@ def derive_seed(seed: int, index: int) -> int:
 
 def derive_rng(seed: int, index: int) -> np.random.Generator:
     """Generator for trial ``index`` of a campaign with the given seed."""
-    return np.random.default_rng(derive_seed(seed, index))
+    return default_rng(derive_seed(seed, index))

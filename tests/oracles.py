@@ -172,6 +172,22 @@ def has_complex_component(n: int, edges) -> bool:
     return any(m_c >= n_c + 1 for n_c, m_c in component_stats(n, edges))
 
 
+def scipy_component_stats(n: int, us: np.ndarray, vs: np.ndarray):
+    """``graphs.component_stats`` through SciPy's ``connected_components``.
+
+    SciPy numbers components in the order of their smallest member and
+    returns ``int32`` labels; the library's kernel must match it exactly.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    adjacency = csr_matrix((np.ones(us.size), (us - 1, vs - 1)), shape=(n, n))
+    n_comp, labels = connected_components(adjacency, directed=False)
+    vertex_counts = np.bincount(labels, minlength=n_comp)
+    edge_counts = np.bincount(labels[us - 1], minlength=n_comp)
+    return labels, vertex_counts, edge_counts
+
+
 def unique_rejection_loop(
     n: int, m: int, rng, max_attempts: int, require_noncomplex: bool = False
 ):

@@ -254,6 +254,25 @@ class TestExperimentCommand:
             ('{"experiment": "bins_concentration", "n": ', "Expecting value"),
             ('[{"experiment": "bins_concentration"}]', "a config must be an object"),
             ('{"n": 10}', "a config needs an 'experiment' field"),
+            (
+                '{"experiment": "complexpart_maxdegree", "q": 50, "core": 5}',
+                "core must be a list of \\[u, v\\] edges, got 5",
+            ),
+            (
+                '{"experiment": "complexpart_maxdegree", "q": 50, "core": [[1, 2, 3]]}',
+                "core edges must be \\[u, v\\] integer pairs, got \\[1, 2, 3\\]",
+            ),
+            (
+                '{"experiment": "complexpart_maxdegree", "q": 50,'
+                ' "core": [[1, 1], [1, 2]]}',
+                "core \\[\\[1, 1\\], \\[1, 2\\]\\] is not a valid core: "
+                "loop at vertex 1",
+            ),
+            (
+                '{"experiment": "complexpart_maxdegree", "q": 3,'
+                ' "core": [[1, 2], [2, 3], [1, 3]]}',
+                "q must be at least v\\(core\\) \\+ 1 = 4, got 3",
+            ),
         ],
     )
     def test_bad_config_is_a_usage_error(self, capsys, tmp_path, text, message):

@@ -28,7 +28,7 @@ from degreelab.graphs import (
     planarity_table,
     two_core,
 )
-from degreelab.pruefer import RootedForest
+from degreelab.pruefer import RootedForest, decode_arrays, sample_codeword
 from degreelab.samplers import sample_gnm_arrays
 
 from oracles import (
@@ -36,6 +36,7 @@ from oracles import (
     dict_decompose,
     networkx_planar,
     queue_peel,
+    scipy_component_stats,
     superset_planarity_table,
     union_find_components,
 )
@@ -455,6 +456,70 @@ class TestArrayKernels:
         assert two_core(graph).vertices == (3, 8, 9, 20, 21)
         assert decompose(graph).non_complex.vertices == ()
         assert is_complex_component(graph, (3, 8, 9, 20, 21, 40))
+
+
+def assert_matches_scipy(n: int, us: np.ndarray, vs: np.ndarray) -> None:
+    got = component_stats(n, us, vs)
+    expected = scipy_component_stats(n, us, vs)
+    assert got[0].dtype == expected[0].dtype == np.int32
+    for mine, theirs in zip(got, expected):
+        np.testing.assert_array_equal(mine, theirs)
+
+
+def path_edges(order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The path visiting the vertices in ``order``, one edge per step."""
+    return order[:-1], order[1:]
+
+
+class TestComponentKernelAgainstScipy:
+    """The NumPy labelling kernel against SciPy, labels and counts exactly."""
+
+    def test_kernel_cases(self):
+        for n, us, vs in kernel_cases():
+            assert_matches_scipy(n, us, vs)
+
+    def test_small_random_graphs(self):
+        rng = np.random.default_rng(31)
+        for i in range(3000):
+            n = i % 40 + 1
+            m_max = n * (n - 1) // 2
+            m = 0 if i % 7 == 0 else int(rng.integers(0, min(m_max, 2 * n) + 1))
+            assert_matches_scipy(n, *random_graph_arrays(rng, n, m))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "gnm_half",
+            "gnm_0.6",
+            "pruefer_forest",
+            "random_path",
+            "path_up",
+            "path_down",
+            "star_top_centre",
+        ],
+    )
+    def test_large_graphs(self, shape):
+        n = 100_000
+        rng = np.random.default_rng(17)
+        if shape.startswith("gnm"):
+            m = n // 2 if shape == "gnm_half" else n * 6 // 10
+            us, vs, _, _ = sample_gnm_arrays(n, m, rng)
+        elif shape == "pruefer_forest":
+            us, vs = decode_arrays(sample_codeword(n, 50, rng), n, 50)
+        elif shape == "random_path":
+            us, vs = path_edges(rng.permutation(n) + 1)
+        elif shape == "path_up":
+            us, vs = path_edges(np.arange(1, n + 1))
+        elif shape == "path_down":
+            us, vs = path_edges(np.arange(n, 0, -1))
+        else:
+            us, vs = np.full(n - 1, n), np.arange(1, n)
+        assert_matches_scipy(n, us, vs)
+
+    def test_refuses_labels_beyond_int32(self):
+        empty = np.zeros(0, dtype=np.int64)
+        with pytest.raises(ValueError, match="n must be below 2\\^31"):
+            component_stats(2**31, empty, empty)
 
 
 class TestIsolatedCounts:

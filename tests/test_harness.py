@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from degreelab.harness import (
@@ -33,6 +34,23 @@ class TestSeedDerivation:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             derive_seed(1, -1)
+
+
+@st.composite
+def cores(draw):
+    """Valid cores: a cycle on [k] plus chords, edges in any order and orientation."""
+    k = draw(st.integers(3, 9))
+    cycle = [(i, i % k + 1) for i in range(1, k + 1)]
+    chords = [
+        (u, v) for u, v in combinations(range(1, k + 1), 2) if v - u not in (1, k - 1)
+    ]
+    if chords:
+        edges = cycle + draw(st.lists(st.sampled_from(chords), unique=True))
+    else:
+        edges = cycle
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
+    return draw(st.permutations(edges))
 
 
 class TestConfig:
@@ -90,10 +108,41 @@ class TestConfig:
             ("eps", -0.5, "eps must be a positive finite number, got -0.5"),
             ("planar_only", "no", "planar_only must be true or false, got 'no'"),
             ("planar_only", 1, "planar_only must be true or false, got 1"),
+            ("core", 5, "core must be a list of \\[u, v\\] edges, got 5"),
+            (
+                "core",
+                [[1, 2, 3]],
+                "core edges must be \\[u, v\\] integer pairs, got \\[1, 2, 3\\]",
+            ),
+            (
+                "core",
+                [[1, 1], [1, 2]],
+                "core \\[\\[1, 1\\], \\[1, 2\\]\\] is not a valid core: "
+                "loop at vertex 1",
+            ),
+            (
+                "core",
+                [[1, 2], [2, 3]],
+                "core .* is not a valid core: every core vertex must have degree",
+            ),
+            (
+                "core",
+                [[1, 2], [2, 4], [1, 4]],
+                "core .* is not a valid core: the core must occupy the vertex set",
+            ),
+            ("core", [], "core \\[\\] is not a valid core: .*at least one vertex"),
+            ("q", 3, "q must be at least v\\(core\\) \\+ 1 = 4, got 3"),
         ],
     )
     def test_bad_values_rejected_with_field_and_value(self, field, value, message):
-        data = {"experiment": "bins_concentration", "n": 100, field: value}
+        # The triangle core is valid; it is there so that q is checked
+        # against the core's order.
+        data = {
+            "experiment": "bins_concentration",
+            "n": 100,
+            "core": [[1, 2], [2, 3], [1, 3]],
+            field: value,
+        }
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(data)
 
@@ -108,7 +157,7 @@ class TestConfig:
         counts=st.fixed_dictionaries(
             {f: st.none() | st.integers(0, 10**9) for f in ("m", "balls", "t", "q")}
         ),
-        core=st.none() | st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9))),
+        core=st.none() | cores(),
         max_attempts=st.integers(1, 10**6),
         min_hit_rate=st.none() | st.floats(0.0, 1.0),
         planar_only=st.booleans(),
@@ -117,6 +166,7 @@ class TestConfig:
         self, experiment, n, trials, eps, seed, counts, core, max_attempts,
         min_hit_rate, planar_only,
     ):
+        assume(core is None or counts["q"] is None or counts["q"] > max(map(max, core)))
         cfg = ExperimentConfig(
             experiment=experiment, n=n, trials=trials, eps=eps, seed=seed,
             core=core, max_attempts=max_attempts, min_hit_rate=min_hit_rate,
