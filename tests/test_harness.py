@@ -495,3 +495,74 @@ def test_structure_campaign_csv_bytes_are_pinned(kind, jobs, tmp_path):
 def test_sampling_campaign_csv_bytes_are_pinned(kind, jobs, tmp_path):
     cfg, digest = PINNED_SAMPLING_CSV[kind]
     assert _csv_digest(cfg, jobs, tmp_path) == digest
+
+
+#: SHA-256 of the JSON emission (records and summary) of campaigns whose
+#: summaries take the kind-specific paths: ``by_n`` and
+#: ``medians_strictly_increasing`` on an n grid, recorded rejection-limit
+#: failures, the ``decomposition`` block, ``violations``/``vacuous`` of the
+#: ratio sweep and ``thresholds_met``.  Recorded before the experiment kinds
+#: were folded into one table.
+PINNED_JSON = {
+    name: (ExperimentConfig(seed=20261018, **fields), digest)
+    for name, fields, digest in (
+        (
+            "bins_concentration_grid",
+            dict(experiment="bins_concentration", n=(50, 500, 5000), trials=6),
+            "6e4aa49cbd2cd35b42c504aa93f160c376a907dbf21c920b2b13e64379f13f35",
+        ),
+        (
+            "noncomplex_grid_failures",
+            dict(
+                experiment="noncomplex_maxdegree", n=(40, 80), trials=6, max_attempts=2
+            ),
+            "781fb4a11f566fd1bcddd22f8fb566a8d244e985b54589d1829067b07ee0cfd1",
+        ),
+        (
+            "forest_maxdegree",
+            dict(experiment="forest_maxdegree", n=2000, t=3, trials=8),
+            "96dd8d763385946a4f06d8e79fcebdca28f727d82c59ce95747a0954a36689ab",
+        ),
+        (
+            "root_gap",
+            dict(experiment="root_gap", n=2000, trials=8),
+            "eedf1d03259f4e5c8ab152b5ecf6fc2d8e8e4009a4923f4e932d6a65f269918a",
+        ),
+        (
+            "dense_ratio_6",
+            dict(experiment="dense_ratio", n=6),
+            "da451e23fc719850c1db163194b39330f89fca210a513b7fa90f6379a4d5cd00",
+        ),
+        (
+            "dense_ratio_7_all",
+            dict(experiment="dense_ratio", n=7, planar_only=False),
+            "af150dc8587a6918c64e9e45a29dd535a1b2675b78a03fe120700a3e8dbc0fcd",
+        ),
+        (
+            "decomposition_stats",
+            dict(experiment="decomposition_stats", n=2000, m=1200, trials=8),
+            "02cc22adb921eed464ff29b918a8d172691ec9f8bfe5bfbb2aa50d7a5da209ab",
+        ),
+        (
+            "complexpart_min_hit_rate",
+            dict(
+                experiment="complexpart_maxdegree",
+                q=2000,
+                core=TRIANGLE,
+                trials=8,
+                min_hit_rate=0.5,
+            ),
+            "4776018973615535908bacae47812aa009579f37595dde26745882ae174e66fb",
+        ),
+    )
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", sorted(PINNED_JSON))
+def test_campaign_json_bytes_are_pinned(name, jobs, tmp_path):
+    cfg, digest = PINNED_JSON[name]
+    result = run_experiment(cfg, jobs=jobs)
+    path = tmp_path / f"{name}.json"
+    emit(result.records, "json", str(path), summary=result.summary)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
