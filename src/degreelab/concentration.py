@@ -60,8 +60,9 @@ def concentration_point(n_bins: int, n_balls: int, tol: float = DEFAULT_TOL) -> 
     Solved by bracketed bisection: the exponent is positive at x = 1 (it
     equals log(n_balls) + 1 there), so the zero is bracketed by [1, x_hi]
     where x_hi doubles until the exponent goes negative, and the bracket is
-    bisected until its width is at most ``tol``.  The returned value always
-    exceeds 1.
+    bisected until its width is at most ``tol``, or until its ends are
+    adjacent floats (above x ~ 8e6 their spacing exceeds the default tol).
+    The returned value always exceeds 1.
     """
     _validate_counts(n_bins, n_balls)
     if tol <= 0:
@@ -74,6 +75,8 @@ def concentration_point(n_bins: int, n_balls: int, tol: float = DEFAULT_TOL) -> 
         hi *= 2.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if load_exponent(mid, n_bins, n_balls) > 0.0:
             lo = mid
         else:

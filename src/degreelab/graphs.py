@@ -145,61 +145,12 @@ class SimpleGraph:
         return canonical_edge(u, v) in self.edges
 
 
-@dataclass(frozen=True)
-class MultiGraph:
-    """Labelled multigraph on vertex set 1..n; loops and parallel edges allowed.
-
-    Edges keep their construction order; each pair is stored with the smaller
-    endpoint first.  A loop contributes two to the degree of its vertex.
-    """
-
-    n: int
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        canonical = []
-        for u, v in self.edges:
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValueError(f"edge ({u}, {v}) leaves the vertex range [1, {self.n}]")
-            canonical.append((u, v) if u <= v else (v, u))
-        object.__setattr__(self, "edges", tuple(canonical))
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(range(1, self.n + 1))
-
-    @property
-    def size(self) -> int:
-        return len(self.edges)
-
-    def is_simple(self) -> bool:
-        seen = set()
-        for u, v in self.edges:
-            if u == v or (u, v) in seen:
-                return False
-            seen.add((u, v))
-        return True
-
-    def as_simple_graph(self) -> SimpleGraph:
-        if not self.is_simple():
-            raise ValueError("multigraph has a loop or parallel edge")
-        return SimpleGraph(vertices=self.vertices, edges=frozenset(self.edges))
+def degree_sequence(graph: SimpleGraph) -> tuple[int, ...]:
+    """Degrees in increasing vertex order."""
+    return tuple(len(graph.adjacency[v]) for v in graph.vertices)
 
 
-def degree_sequence(graph: SimpleGraph | MultiGraph) -> tuple[int, ...]:
-    """Degrees in increasing vertex order; loops count twice."""
-    if isinstance(graph, SimpleGraph):
-        return tuple(len(graph.adjacency[v]) for v in graph.vertices)
-    degrees = [0] * (graph.n + 1)
-    for u, v in graph.edges:
-        degrees[u] += 1
-        degrees[v] += 1
-    return tuple(degrees[1:])
-
-
-def max_degree(graph: SimpleGraph | MultiGraph) -> int:
+def max_degree(graph: SimpleGraph) -> int:
     """Maximum degree; zero for graphs with no vertices or no edges."""
     seq = degree_sequence(graph)
     return max(seq) if seq else 0
@@ -388,22 +339,6 @@ def induced_subgraph(graph: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph
         raise ValueError("vertex selection is not a subset of the graph")
     edges = frozenset(e for e in graph.edges if e[0] in vset and e[1] in vset)
     return SimpleGraph(vertices=tuple(vset), edges=edges)
-
-
-def is_complex_component(graph: SimpleGraph, comp: Sequence[int]) -> bool:
-    """True iff the component has cycle rank >= 2, i.e. edges >= vertices + 1."""
-    labels, vertex_counts, edge_counts = component_stats(
-        graph.order, *_edge_arrays(graph)
-    )
-    position = {v: i for i, v in enumerate(graph.vertices)}
-    members = set(comp)
-    found = {int(labels[position[v]]) for v in members & position.keys()}
-    if members - position.keys() or len(found) != 1 or not (
-        len(members) == len(comp) == vertex_counts[min(found)]
-    ):
-        raise ValueError(f"{tuple(sorted(comp))} is not a component of the graph")
-    c = found.pop()
-    return bool(edge_counts[c] >= vertex_counts[c] + 1)
 
 
 def peeled_core(graph: SimpleGraph) -> SimpleGraph:

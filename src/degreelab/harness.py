@@ -6,6 +6,13 @@ generator from the campaign seed via a 64-bit mixing function, so results are
 byte-identical for a fixed config and seed regardless of the degree of
 parallelism, and trials can run in a process pool.
 
+Each experiment kind is one entry of the ``_KINDS`` table: a ``plan`` that
+resolves the kind's defaults at one grid point, checks the bounds that depend
+on the kind and computes the predicted window (a config runs it at every grid
+point when it is built, so a bad value fails at load, never mid-campaign); a
+seeded ``trial``, or a ``sweep`` that yields all records of an exhaustive
+campaign; and an optional ``summary`` of the kind's own entries.
+
 Each trial yields a TrialRecord with the observed statistic, the predicted
 window (when the experiment has one), and auxiliary data.  Records can be
 emitted as CSV (columns: trial,observed,lo,hi,in_interval,aux_json) or JSON
@@ -22,7 +29,8 @@ import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -30,23 +38,12 @@ from degreelab import concentration as conc
 from degreelab import dense_ops
 from degreelab.balls_bins import loads as bin_loads
 from degreelab.balls_bins import max_load, sample_locations
-from degreelab.graphs import SimpleGraph, decompose_masks, peel
+from degreelab.graphs import ENUMERATION_LIMIT, SimpleGraph, decompose_masks, peel
 from degreelab.pruefer import decode_arrays, sample_codeword, sample_forest_degrees
 from degreelab.rng import derive_rng
 from degreelab.samplers import RejectionLimitError, sample_gnm_arrays, validate_core
 
 JOBS_ENV_VAR = "DEGREELAB_JOBS"
-
-EXPERIMENTS = (
-    "bins_concentration",
-    "gnm_maxdegree",
-    "noncomplex_maxdegree",
-    "forest_maxdegree",
-    "complexpart_maxdegree",
-    "root_gap",
-    "decomposition_stats",
-    "dense_ratio",
-)
 
 
 def _check_integer(name: str, value: Any) -> None:
@@ -102,7 +99,9 @@ class ExperimentConfig:
     grid point).  ``m`` defaults to n // 2 where an edge count is needed,
     ``balls`` defaults to n, ``t`` defaults to 1 for forest_maxdegree and to
     ceil(n^0.7) for root_gap.  ``core`` is an edge list on [v] for
-    complexpart_maxdegree, which uses ``q`` instead of ``n``.
+    complexpart_maxdegree, which uses ``q`` instead of ``n``.  Building a
+    config runs its kind's plan at every grid point, which checks the bounds
+    that depend on the kind.
     """
 
     experiment: str
@@ -165,6 +164,8 @@ class ExperimentConfig:
                 raise ValueError(
                     f"q must be at least v(core) + 1 = {order + 1}, got {self.q}"
                 )
+        for n in self.n_grid:
+            _KINDS[self.experiment].plan(self, n)
 
     @property
     def n_grid(self) -> tuple[int | None, ...]:
@@ -242,187 +243,270 @@ class ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# Per-experiment planning (windows precomputed once per grid point)
+# Plans: defaults, bounds and the predicted window of one grid point
 # ---------------------------------------------------------------------------
 
 
-def _edge_count(cfg: ExperimentConfig, n: int) -> int:
-    return cfg.m if cfg.m is not None else n // 2
+def _given(cfg: ExperimentConfig, name: str, value: Any) -> Any:
+    if value is None:
+        raise ValueError(f"{name} must be given for {cfg.experiment}, got None")
+    return value
 
 
-def _plan_for(cfg: ExperimentConfig, n: int | None) -> dict[str, Any]:
-    kind = cfg.experiment
-    if n is None and kind != "complexpart_maxdegree":
-        raise ValueError(f"experiment {kind!r} needs n")
-    if kind == "bins_concentration":
-        balls = cfg.balls if cfg.balls is not None else n
-        c = conc.concentration_point(n, balls)
-        return {
-            "n": n,
-            "balls": balls,
-            "lo": math.floor(c - cfg.eps),
-            "hi": math.floor(c + cfg.eps),
-        }
-    if kind == "gnm_maxdegree":
-        m = _edge_count(cfg, n)
-        c = conc.concentration_point(n, 2 * m)
-        return {
-            "n": n,
-            "m": m,
-            "lo": math.floor(c - cfg.eps),
-            "hi": math.floor(c + cfg.eps),
-        }
-    if kind == "noncomplex_maxdegree":
-        m = _edge_count(cfg, n)
-        interval = conc.predicted_interval_sparse(n, m, cfg.eps)
-        return {
-            "n": n,
-            "m": m,
-            "lo": interval.delta_star,
-            "hi": interval.delta_star + 1,
-        }
-    if kind == "forest_maxdegree":
-        t = cfg.t if cfg.t is not None else 1
-        if not 1 <= t < n:
-            raise ValueError(f"forest_maxdegree needs 1 <= t < n, got t={t}, n={n}")
-        c = conc.balanced_concentration(n)
-        return {
-            "n": n,
-            "t": t,
-            "lo": math.floor(c - cfg.eps) + 1,
-            "hi": math.floor(c + cfg.eps) + 1,
-        }
-    if kind == "complexpart_maxdegree":
-        if cfg.q is None or cfg.core is None:
-            raise ValueError("complexpart_maxdegree needs both q and core")
-        core = _core_graph(cfg.core)
-        c = conc.balanced_concentration(cfg.q)
-        core_edges = np.array(sorted(core.edges), dtype=np.int64).reshape(-1, 2)
-        return {
-            "q": cfg.q,
-            "core": core,
-            "core_edges": (core_edges[:, 0], core_edges[:, 1]),
-            "lo": math.floor(c - cfg.eps) + 1,
-            "hi": math.floor(c + cfg.eps) + 1,
-        }
-    if kind == "root_gap":
-        t = cfg.t if cfg.t is not None else math.ceil(n**0.7)
-        if not 1 <= t < n:
-            raise ValueError(f"root_gap needs 1 <= t < n, got t={t}, n={n}")
-        return {"n": n, "t": t, "lo": None, "hi": None}
-    if kind == "decomposition_stats":
-        return {"n": n, "m": _edge_count(cfg, n), "lo": None, "hi": None}
-    if kind == "dense_ratio":
-        return {"n": n, "lo": None, "hi": None}
-    raise ValueError(f"unknown experiment {kind!r}")
+def _within(
+    cfg: ExperimentConfig, name: str, value: int, lo: int, hi: int, where: str = ""
+) -> int:
+    """``value`` if it lies in [lo, hi]; else a ValueError naming field and value."""
+    if not lo <= value <= hi:
+        default = "" if getattr(cfg, name) is not None else " (its default)"
+        raise ValueError(
+            f"{name} must lie in [{lo}, {hi}] for {cfg.experiment}{where}, "
+            f"got {value}{default}"
+        )
+    return value
+
+
+def _edge_count(cfg: ExperimentConfig, n: int, lo: int, hi: int) -> int:
+    m = cfg.m if cfg.m is not None else n // 2
+    return _within(cfg, "m", m, lo, hi, f" with n = {n}")
+
+
+def _window(c: float, eps: float, shift: int = 0) -> dict[str, int]:
+    return {"lo": math.floor(c - eps) + shift, "hi": math.floor(c + eps) + shift}
+
+
+def _plan_bins(cfg: ExperimentConfig, n: int | None) -> dict[str, Any]:
+    n = _given(cfg, "n", n)
+    balls = cfg.balls if cfg.balls is not None else n
+    if balls < 1:
+        raise ValueError(f"balls must be positive for {cfg.experiment}, got {balls}")
+    c = conc.concentration_point(n, balls)
+    return {"n": n, "balls": balls, **_window(c, cfg.eps)}
+
+
+def _plan_gnm(cfg: ExperimentConfig, n: int | None) -> dict[str, Any]:
+    n = _given(cfg, "n", n)
+    m = _edge_count(cfg, n, 1, n * (n - 1) // 2)
+    return {"n": n, "m": m, **_window(conc.concentration_point(n, 2 * m), cfg.eps)}
+
+
+def _plan_noncomplex(cfg: ExperimentConfig, n: int | None) -> dict[str, Any]:
+    n = _given(cfg, "n", n)
+    m = _edge_count(cfg, n, 1, n - 1)
+    delta_star = conc.predicted_interval_sparse(n, m, cfg.eps).delta_star
+    return {"n": n, "m": m, "lo": delta_star, "hi": delta_star + 1}
+
+
+def _plan_forest(cfg: ExperimentConfig, n: int | None) -> dict[str, Any]:
+    n = _given(cfg, "n", n)
+    t = cfg.t if cfg.t is not None else 1
+    t = _within(cfg, "t", t, 1, n - 1, f" with n = {n}")
+    return {"n": n, "t": t, **_window(conc.balanced_concentration(n), cfg.eps, 1)}
+
+
+def _plan_complexpart(cfg: ExperimentConfig, n: int | None) -> dict[str, Any]:
+    core = _core_graph(_given(cfg, "core", cfg.core))
+    q = _given(cfg, "q", cfg.q)
+    core_edges = np.array(sorted(core.edges), dtype=np.int64).reshape(-1, 2)
+    return {
+        "q": q,
+        "core": core,
+        "core_edges": (core_edges[:, 0], core_edges[:, 1]),
+        **_window(conc.balanced_concentration(q), cfg.eps, 1),
+    }
+
+
+def _plan_root_gap(cfg: ExperimentConfig, n: int | None) -> dict[str, Any]:
+    n = _given(cfg, "n", n)
+    t = cfg.t if cfg.t is not None else math.ceil(n**0.7)
+    t = _within(cfg, "t", t, 1, n - 1, f" with n = {n}")
+    return {"n": n, "t": t, "lo": None, "hi": None}
+
+
+def _plan_decomposition(cfg: ExperimentConfig, n: int | None) -> dict[str, Any]:
+    n = _given(cfg, "n", n)
+    m = _edge_count(cfg, n, 0, n * (n - 1) // 2)
+    return {"n": n, "m": m, "lo": None, "hi": None}
+
+
+def _plan_dense_ratio(cfg: ExperimentConfig, n: int | None) -> dict[str, Any]:
+    if isinstance(cfg.n, tuple):
+        raise ValueError(
+            f"n must be a single integer for {cfg.experiment}, got {list(cfg.n)}"
+        )
+    n = _within(cfg, "n", _given(cfg, "n", n), 1, ENUMERATION_LIMIT)
+    return {"n": n, "lo": None, "hi": None}
 
 
 # ---------------------------------------------------------------------------
-# Trial workers
+# Trials: one seeded draw against a plan, returning the observed statistic
 # ---------------------------------------------------------------------------
 
 
-def _run_trial(
-    cfg: ExperimentConfig, plan: dict[str, Any], index: int
-) -> TrialRecord:
-    rng = derive_rng(cfg.seed, index)
-    kind = cfg.experiment
-    aux: dict[str, Any] = {}
-    if plan.get("n") is not None and isinstance(cfg.n, tuple):
-        aux["n"] = plan["n"]
-
-    if kind == "bins_concentration":
-        location = sample_locations(plan["n"], plan["balls"], rng)
-        observed: int | float | None = max_load(bin_loads(location))
-        return _record(index, observed, plan["lo"], plan["hi"], aux)
-
-    if kind in ("gnm_maxdegree", "noncomplex_maxdegree"):
-        try:
-            _, _, load_counts, report = sample_gnm_arrays(
-                plan["n"],
-                plan["m"],
-                rng,
-                cfg.max_attempts,
-                require_noncomplex=(kind == "noncomplex_maxdegree"),
-            )
-        except RejectionLimitError as err:
-            aux.update(error="rejection_limit", attempts=err.report.attempts)
-            return _record(index, None, plan["lo"], plan["hi"], aux)
-        aux["attempts"] = report.attempts
-        observed = int(load_counts.max()) if load_counts.size else 0
-        return _record(index, observed, plan["lo"], plan["hi"], aux)
-
-    if kind == "forest_maxdegree":
-        degrees = sample_forest_degrees(plan["n"], plan["t"], rng)
-        aux["max_root_degree"] = int(degrees[: plan["t"]].max())
-        return _record(index, int(degrees.max()), plan["lo"], plan["hi"], aux)
-
-    if kind == "root_gap":
-        degrees = sample_forest_degrees(plan["n"], plan["t"], rng)
-        gap = int(degrees.max()) - int(degrees[: plan["t"]].max())
-        aux["max_degree"] = int(degrees.max())
-        aux["max_root_degree"] = int(degrees[: plan["t"]].max())
-        return _record(index, gap, None, None, aux)
-
-    if kind == "complexpart_maxdegree":
-        # The complex part is the core with a uniform rooted forest grafted
-        # on, one root per core vertex; the core's edges come first.
-        core: SimpleGraph = plan["core"]
-        q, v = plan["q"], core.order
-        codeword = sample_codeword(q, v, rng)
-        forest_lo, forest_hi = decode_arrays(codeword, q, v)
-        core_us, core_vs = plan["core_edges"]
-        us = np.concatenate((core_us, forest_lo))
-        vs = np.concatenate((core_vs, forest_hi))
-        degrees = np.bincount(np.concatenate((us, vs)), minlength=q + 1)[1:]
-        alive = peel(q, us, vs)
-        kept_edges = np.flatnonzero(alive[us - 1] & alive[vs - 1])
-        aux["max_root_degree"] = int(degrees[:v].max())
-        aux["core_recovered"] = bool(
-            np.array_equal(np.flatnonzero(alive), np.arange(v))
-            and np.array_equal(kept_edges, np.arange(core.size))
-        )
-        return _record(index, int(degrees.max()), plan["lo"], plan["hi"], aux)
-
-    if kind == "decomposition_stats":
-        try:
-            us, vs, load_counts, report = sample_gnm_arrays(
-                plan["n"], plan["m"], rng, cfg.max_attempts
-            )
-        except RejectionLimitError as err:
-            aux.update(error="rejection_limit", attempts=err.report.attempts)
-            return _record(index, None, None, None, aux)
-        core, big, small = decompose_masks(plan["n"], us, vs)
-        core_edge = core[us - 1] & core[vs - 1]
-        core_degrees = np.bincount(
-            np.concatenate((us[core_edge], vs[core_edge])), minlength=plan["n"] + 1
-        )
-        core_max_degree = int(core_degrees.max())
-        rest = ~(big | small)
-        aux.update(
-            attempts=report.attempts,
-            core_vertices=int(np.count_nonzero(core)),
-            core_edges=int(np.count_nonzero(core_edge)),
-            core_max_degree=core_max_degree,
-            largest_core_component=int(np.count_nonzero(core & big)),
-            qL_vertices=int(np.count_nonzero(big)),
-            qS_vertices=int(np.count_nonzero(small)),
-            u_vertices=int(np.count_nonzero(rest)),
-            u_edges=int(np.count_nonzero(rest[us - 1])),
-        )
-        return _record(index, core_max_degree, None, None, aux)
-
-    raise ValueError(f"unknown experiment {kind!r}")
+def _bins_trial(cfg, plan, rng, aux) -> int:
+    return max_load(bin_loads(sample_locations(plan["n"], plan["balls"], rng)))
 
 
-def _run_indexed(args: tuple[ExperimentConfig, dict[str, Any], int]) -> TrialRecord:
-    cfg, plan, index = args
-    return _run_trial(cfg, plan, index)
+def _gnm_trial(cfg, plan, rng, aux, require_noncomplex: bool = False) -> int:
+    _, _, load_counts, report = sample_gnm_arrays(
+        plan["n"], plan["m"], rng, cfg.max_attempts, require_noncomplex
+    )
+    aux["attempts"] = report.attempts
+    return int(load_counts.max())
+
+
+def _forest_trial(cfg, plan, rng, aux) -> int:
+    degrees = sample_forest_degrees(plan["n"], plan["t"], rng)
+    aux["max_root_degree"] = int(degrees[: plan["t"]].max())
+    return int(degrees.max())
+
+
+def _root_gap_trial(cfg, plan, rng, aux) -> int:
+    aux["max_degree"] = _forest_trial(cfg, plan, rng, aux)
+    return aux["max_degree"] - aux["max_root_degree"]
+
+
+def _complexpart_trial(cfg, plan, rng, aux) -> int:
+    # The complex part is the core with a uniform rooted forest grafted
+    # on, one root per core vertex; the core's edges come first.
+    core: SimpleGraph = plan["core"]
+    q, v = plan["q"], core.order
+    codeword = sample_codeword(q, v, rng)
+    forest_lo, forest_hi = decode_arrays(codeword, q, v)
+    core_us, core_vs = plan["core_edges"]
+    us = np.concatenate((core_us, forest_lo))
+    vs = np.concatenate((core_vs, forest_hi))
+    degrees = np.bincount(np.concatenate((us, vs)), minlength=q + 1)[1:]
+    alive = peel(q, us, vs)
+    kept_edges = np.flatnonzero(alive[us - 1] & alive[vs - 1])
+    aux["max_root_degree"] = int(degrees[:v].max())
+    aux["core_recovered"] = bool(
+        np.array_equal(np.flatnonzero(alive), np.arange(v))
+        and np.array_equal(kept_edges, np.arange(core.size))
+    )
+    return int(degrees.max())
+
+
+def _decomposition_trial(cfg, plan, rng, aux) -> int:
+    n = plan["n"]
+    us, vs, _, report = sample_gnm_arrays(n, plan["m"], rng, cfg.max_attempts)
+    core, big, small = decompose_masks(n, us, vs)
+    core_edge = core[us - 1] & core[vs - 1]
+    core_degrees = np.bincount(
+        np.concatenate((us[core_edge], vs[core_edge])), minlength=n + 1
+    )
+    rest = ~(big | small)
+    aux.update(
+        attempts=report.attempts,
+        core_vertices=int(np.count_nonzero(core)),
+        core_edges=int(np.count_nonzero(core_edge)),
+        core_max_degree=int(core_degrees.max()),
+        largest_core_component=int(np.count_nonzero(core & big)),
+        qL_vertices=int(np.count_nonzero(big)),
+        qS_vertices=int(np.count_nonzero(small)),
+        u_vertices=int(np.count_nonzero(rest)),
+        u_edges=int(np.count_nonzero(rest[us - 1])),
+    )
+    return aux["core_max_degree"]
+
+
+def _dense_ratio_sweep(cfg, plan) -> list[TrialRecord]:
+    checks = dense_ops.sweep_ratio_bounds(plan["n"], cfg.planar_only)
+    records = []
+    for i, check in enumerate(checks):
+        ratio = check.count_dst / check.count_src if check.count_src else None
+        sig = check.signature
+        aux = dict(m=sig.m, k=sig.k, l=sig.l, d=sig.d, count_src=check.count_src,
+                   count_dst=check.count_dst, bound=check.bound, vacuous=check.vacuous)
+        records.append(TrialRecord(i, ratio, None, None, check.holds, aux))
+    return records
+
+
+def _dense_ratio_summary(records: Sequence[TrialRecord]) -> dict[str, Any]:
+    return {
+        "violations": sum(1 for r in records if not r.in_interval),
+        "vacuous": sum(1 for r in records if r.auxiliary.get("vacuous")),
+    }
+
+
+def _decomposition_summary(records: Sequence[TrialRecord]) -> dict[str, Any]:
+    stats: dict[str, Any] = {}
+    numeric_keys = (
+        "core_vertices",
+        "core_max_degree",
+        "largest_core_component",
+        "qL_vertices",
+        "qS_vertices",
+        "u_vertices",
+        "u_edges",
+    )
+    ok = [r for r in records if r.observed is not None]
+    for key in numeric_keys:
+        values = [r.auxiliary[key] for r in ok]
+        if values:
+            stats[key] = {
+                "min": min(values),
+                "median": statistics.median(values),
+                "mean": sum(values) / len(values),
+                "max": max(values),
+            }
+    excess = [r.auxiliary["u_edges"] - r.auxiliary["u_vertices"] / 2 for r in ok]
+    if excess:
+        stats["u_edge_excess"] = {
+            "min": min(excess),
+            "median": statistics.median(excess),
+            "max": max(excess),
+        }
+    return {"decomposition": stats}
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """How one experiment kind runs; exactly one of ``trial`` and ``sweep`` is set."""
+
+    plan: Callable[[ExperimentConfig, int | None], dict[str, Any]]
+    trial: Callable[..., int] | None = None
+    sweep: Callable[[ExperimentConfig, dict[str, Any]], list[TrialRecord]] | None = None
+    summary: Callable[[Sequence[TrialRecord]], dict[str, Any]] | None = None
+
+
+_KINDS: dict[str, _Kind] = {
+    "bins_concentration": _Kind(_plan_bins, _bins_trial),
+    "gnm_maxdegree": _Kind(_plan_gnm, _gnm_trial),
+    "noncomplex_maxdegree": _Kind(
+        _plan_noncomplex, partial(_gnm_trial, require_noncomplex=True)
+    ),
+    "forest_maxdegree": _Kind(_plan_forest, _forest_trial),
+    "complexpart_maxdegree": _Kind(_plan_complexpart, _complexpart_trial),
+    "root_gap": _Kind(_plan_root_gap, _root_gap_trial),
+    "decomposition_stats": _Kind(
+        _plan_decomposition, _decomposition_trial, summary=_decomposition_summary
+    ),
+    "dense_ratio": _Kind(
+        _plan_dense_ratio, sweep=_dense_ratio_sweep, summary=_dense_ratio_summary
+    ),
+}
+
+EXPERIMENTS = tuple(_KINDS)
 
 
 # ---------------------------------------------------------------------------
 # Campaign driver
 # ---------------------------------------------------------------------------
+
+
+def _run_trial(task: tuple[ExperimentConfig, dict[str, Any], int]) -> TrialRecord:
+    cfg, plan, index = task
+    aux: dict[str, Any] = {}
+    if "n" in plan and isinstance(cfg.n, tuple):
+        aux["n"] = plan["n"]
+    trial = _KINDS[cfg.experiment].trial
+    try:
+        observed = trial(cfg, plan, derive_rng(cfg.seed, index), aux)
+    except RejectionLimitError as err:
+        aux.update(error="rejection_limit", attempts=err.report.attempts)
+        observed = None
+    return _record(index, observed, plan["lo"], plan["hi"], aux)
 
 
 def default_jobs() -> int:
@@ -440,38 +524,6 @@ def default_jobs() -> int:
     return jobs
 
 
-def _dense_ratio_records(cfg: ExperimentConfig) -> list[TrialRecord]:
-    n = cfg.n if isinstance(cfg.n, int) else None
-    if n is None:
-        raise ValueError("dense_ratio needs a single integer n")
-    records = []
-    for i, check in enumerate(dense_ops.sweep_ratio_bounds(n, cfg.planar_only)):
-        ratio = (
-            check.count_dst / check.count_src if check.count_src else None
-        )
-        sig = check.signature
-        records.append(
-            TrialRecord(
-                trial_index=i,
-                observed=ratio,
-                lo=None,
-                hi=None,
-                in_interval=check.holds,
-                auxiliary={
-                    "m": sig.m,
-                    "k": sig.k,
-                    "l": sig.l,
-                    "d": sig.d,
-                    "count_src": check.count_src,
-                    "count_dst": check.count_dst,
-                    "bound": check.bound,
-                    "vacuous": check.vacuous,
-                },
-            )
-        )
-    return records
-
-
 def run_experiment(
     cfg: ExperimentConfig, jobs: int | None = None
 ) -> ExperimentResult:
@@ -485,26 +537,21 @@ def run_experiment(
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs}")
 
-    if cfg.experiment == "dense_ratio":
-        records = _dense_ratio_records(cfg)
-        return ExperimentResult(
-            records=tuple(records), summary=_summarise(cfg, records)
-        )
-
-    tasks: list[tuple[ExperimentConfig, dict[str, Any], int]] = []
-    index = 0
-    for n in cfg.n_grid:
-        plan = _plan_for(cfg, n)
-        for _ in range(cfg.trials):
-            tasks.append((cfg, plan, index))
-            index += 1
-
-    if jobs == 1:
-        records = [_run_indexed(task) for task in tasks]
+    kind = _KINDS[cfg.experiment]
+    plans = [kind.plan(cfg, n) for n in cfg.n_grid]
+    if kind.sweep is not None:
+        records = kind.sweep(cfg, *plans)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_indexed, tasks, chunksize=8))
-    records.sort(key=lambda r: r.trial_index)
+        tasks = [
+            (cfg, plan, g * cfg.trials + i)
+            for g, plan in enumerate(plans)
+            for i in range(cfg.trials)
+        ]
+        if jobs == 1:
+            records = [_run_trial(task) for task in tasks]
+        else:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                records = list(pool.map(_run_trial, tasks, chunksize=8))
     return ExperimentResult(records=tuple(records), summary=_summarise(cfg, records))
 
 
@@ -525,7 +572,7 @@ def _summarise(cfg: ExperimentConfig, records: Sequence[TrialRecord]) -> dict[st
         "histogram": dict(sorted(histogram.items())),
     }
 
-    if isinstance(cfg.n, tuple) and cfg.experiment != "dense_ratio":
+    if isinstance(cfg.n, tuple):
         by_n: dict[str, Any] = {}
         per = cfg.trials
         for g, n in enumerate(cfg.n_grid):
@@ -551,41 +598,9 @@ def _summarise(cfg: ExperimentConfig, records: Sequence[TrialRecord]) -> dict[st
             a < b for a, b in zip(medians, medians[1:])
         )
 
-    if cfg.experiment == "dense_ratio":
-        summary["violations"] = sum(1 for r in records if not r.in_interval)
-        summary["vacuous"] = sum(1 for r in records if r.auxiliary.get("vacuous"))
-
-    if cfg.experiment == "decomposition_stats":
-        stats: dict[str, Any] = {}
-        numeric_keys = (
-            "core_vertices",
-            "core_max_degree",
-            "largest_core_component",
-            "qL_vertices",
-            "qS_vertices",
-            "u_vertices",
-            "u_edges",
-        )
-        ok = [r for r in records if r.observed is not None]
-        for key in numeric_keys:
-            values = [r.auxiliary[key] for r in ok]
-            if values:
-                stats[key] = {
-                    "min": min(values),
-                    "median": statistics.median(values),
-                    "mean": sum(values) / len(values),
-                    "max": max(values),
-                }
-        excess = [
-            r.auxiliary["u_edges"] - r.auxiliary["u_vertices"] / 2 for r in ok
-        ]
-        if excess:
-            stats["u_edge_excess"] = {
-                "min": min(excess),
-                "median": statistics.median(excess),
-                "max": max(excess),
-            }
-        summary["decomposition"] = stats
+    extra = _KINDS[cfg.experiment].summary
+    if extra is not None:
+        summary.update(extra(records))
 
     if cfg.min_hit_rate is not None and summary["hit_rate"] is not None:
         summary["min_hit_rate"] = cfg.min_hit_rate
@@ -593,21 +608,6 @@ def _summarise(cfg: ExperimentConfig, records: Sequence[TrialRecord]) -> dict[st
     else:
         summary["thresholds_met"] = None
     return summary
-
-
-def decomposition_stats(
-    n: int, m: int, trials: int, seed: int, max_attempts: int = 10_000
-) -> ExperimentResult:
-    """Decomposition statistics of uniform simple graphs with n vertices, m edges."""
-    cfg = ExperimentConfig(
-        experiment="decomposition_stats",
-        n=n,
-        m=m,
-        trials=trials,
-        seed=seed,
-        max_attempts=max_attempts,
-    )
-    return run_experiment(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from degreelab.balls_bins import LocationVector
-from degreelab.graphs import MultiGraph, SimpleGraph, has_complex_component
+from degreelab.graphs import SimpleGraph, has_complex_component
 from degreelab.pruefer import RootedForest, sample_uniform_forest
 
 REJECT_LOOP = "loop"
@@ -46,21 +45,6 @@ class RejectionLimitError(RuntimeError):
     def __init__(self, message: str, report: RejectionReport):
         super().__init__(message)
         self.report = report
-
-
-def multigraph_from_locations(location: LocationVector) -> MultiGraph:
-    """Multigraph pairing consecutive entries of an even-length location vector.
-
-    Ball locations (a_1, ..., a_2m) become edges {a_1, a_2}, ..., {a_2m-1,
-    a_2m}; vertex degrees equal bin loads.
-    """
-    if location.k % 2 != 0:
-        raise ValueError(f"need an even number of balls, got {location.k}")
-    entries = location.entries
-    pairs = tuple(
-        (int(entries[2 * i]), int(entries[2 * i + 1])) for i in range(location.k // 2)
-    )
-    return MultiGraph(n=location.n_bins, edges=pairs)
 
 
 def sample_gnm_arrays(

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive (exhaustive enumeration, direct
 counting) and independent of the library's own algorithms, so that the two
-routes can check each other.
+routes can check each other.  ``ReplayRng`` lets an exhaustive check feed
+chosen location vectors to the library's own rejection loop.
 """
 
 from __future__ import annotations
@@ -16,6 +17,22 @@ from itertools import combinations
 import numpy as np
 
 Edge = tuple[int, int]
+
+
+class ReplayRng:
+    """Generator stand-in whose every draw is one fixed location vector.
+
+    With ``max_attempts=1``, ``sample_gnm_arrays`` runs its pairing, loop
+    check and parallel-edge check on exactly that vector.
+    """
+
+    def __init__(self, entries):
+        self.entries = np.asarray(entries, dtype=np.int64)
+
+    def integers(self, low, high=None, size=None, dtype=np.int64):
+        assert size == self.entries.size
+        assert low <= self.entries.min() and self.entries.max() < high
+        return self.entries.astype(dtype)
 
 
 def union_find_components(n: int, edges) -> list[set[int]]:

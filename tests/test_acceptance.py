@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from degreelab.balls_bins import LocationVector
 from degreelab.concentration import (
     balanced_concentration,
     concentration_point,
@@ -34,9 +33,10 @@ from degreelab.concentration import (
 from degreelab.dense_ops import classify_all_graphs, sweep_ratio_bounds
 from degreelab.harness import ExperimentConfig, run_experiment
 from degreelab.pruefer import RootedForest, count_forests, decode, encode
-from degreelab.samplers import multigraph_from_locations
+from degreelab.samplers import RejectionLimitError, sample_gnm_arrays
 
 from oracles import (
+    ReplayRng,
     all_forests,
     complex_part_max_degree_cdf,
     forest_degree_law,
@@ -203,13 +203,15 @@ def test_criterion_03_degree_law_exact():
 
 
 def test_criterion_04_gnm_uniformity_exact():
-    """Every simple graph on [4] with 3 edges arises from exactly 48 of the
-    4^6 location vectors."""
+    """``sample_gnm_arrays`` accepts every simple graph on [4] with 3 edges
+    from exactly 48 of the 4^6 location vectors."""
     counts: Counter = Counter()
     for entries in product(range(1, 5), repeat=6):
-        graph = multigraph_from_locations(LocationVector(n_bins=4, entries=entries))
-        if graph.is_simple():
-            counts[frozenset(graph.edges)] += 1
+        try:
+            us, vs, _, _ = sample_gnm_arrays(4, 3, ReplayRng(entries), max_attempts=1)
+        except RejectionLimitError:
+            continue
+        counts[frozenset(map(frozenset, zip(us.tolist(), vs.tolist())))] += 1
     assert len(counts) == 20
     assert set(counts.values()) == {48}
     announce("4", True, "20 graphs x 48 vectors each (= 2^3 * 3!)")

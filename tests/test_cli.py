@@ -273,6 +273,64 @@ class TestExperimentCommand:
                 ' "core": [[1, 2], [2, 3], [1, 3]]}',
                 "q must be at least v\\(core\\) \\+ 1 = 4, got 3",
             ),
+            (
+                '{"experiment": "dense_ratio", "n": 8}',
+                "n must lie in \\[1, 7\\] for dense_ratio, got 8",
+            ),
+            (
+                '{"experiment": "dense_ratio", "n": [5, 6]}',
+                "n must be a single integer for dense_ratio, got \\[5, 6\\]",
+            ),
+            (
+                '{"experiment": "gnm_maxdegree", "n": 10, "m": 46}',
+                "m must lie in \\[1, 45\\] for gnm_maxdegree with n = 10, got 46",
+            ),
+            (
+                '{"experiment": "gnm_maxdegree", "n": 1}',
+                "m must lie in \\[1, 0\\] for gnm_maxdegree with n = 1, "
+                "got 0 \\(its default\\)",
+            ),
+            (
+                '{"experiment": "noncomplex_maxdegree", "n": 10, "m": 10}',
+                "m must lie in \\[1, 9\\] for noncomplex_maxdegree with n = 10, "
+                "got 10",
+            ),
+            (
+                '{"experiment": "noncomplex_maxdegree", "n": 1}',
+                "m must lie in \\[1, 0\\] for noncomplex_maxdegree with n = 1, "
+                "got 0 \\(its default\\)",
+            ),
+            (
+                '{"experiment": "forest_maxdegree", "n": 10, "t": 10}',
+                "t must lie in \\[1, 9\\] for forest_maxdegree with n = 10, got 10",
+            ),
+            (
+                '{"experiment": "root_gap", "n": 2}',
+                "t must lie in \\[1, 1\\] for root_gap with n = 2, "
+                "got 2 \\(its default\\)",
+            ),
+            (
+                '{"experiment": "root_gap", "n": 3}',
+                "t must lie in \\[1, 2\\] for root_gap with n = 3, "
+                "got 3 \\(its default\\)",
+            ),
+            (
+                '{"experiment": "bins_concentration", "n": 10, "balls": 0}',
+                "balls must be positive for bins_concentration, got 0",
+            ),
+            (
+                '{"experiment": "bins_concentration"}',
+                "n must be given for bins_concentration, got None",
+            ),
+            (
+                '{"experiment": "complexpart_maxdegree", "q": 50}',
+                "core must be given for complexpart_maxdegree, got None",
+            ),
+            (
+                '{"experiment": "complexpart_maxdegree",'
+                ' "core": [[1, 2], [2, 3], [1, 3]]}',
+                "q must be given for complexpart_maxdegree, got None",
+            ),
         ],
     )
     def test_bad_config_is_a_usage_error(self, capsys, tmp_path, text, message):

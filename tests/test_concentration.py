@@ -80,6 +80,12 @@ class TestConcentrationPoint:
             # this range of inputs.
             assert abs(load_exponent(value, n, k)) <= 20 * 1e-9
 
+    def test_terminates_when_floats_cannot_resolve_tol(self):
+        # Near x = 2.7e9 adjacent floats lie 4.8e-7 apart, far above tol:
+        # the bisection stops at adjacent ends instead of looping forever.
+        value = concentration_point(10**9, 10**18)
+        assert abs(load_exponent(value, 10**9, 10**18)) < 1e-3
+
     def test_balanced_shorthand_matches(self):
         assert balanced_concentration(12345) == concentration_point(12345, 12345)
 

@@ -6,19 +6,17 @@ import numpy as np
 import pytest
 
 from degreelab.graphs import (
-    MultiGraph,
     PlanarityLimitError,
     SimpleGraph,
+    _edge_arrays,
     _kuratowski_masks,
     complete_graph_edges,
     component_stats,
     components,
     decompose,
     decompose_masks,
-    degree_sequence,
     format_edge_list,
     induced_subgraph,
-    is_complex_component,
     is_planar,
     isolated_counts,
     max_degree,
@@ -101,14 +99,6 @@ class TestDegreesAndComponents:
         star = SimpleGraph.from_edges(5, [(1, v) for v in range(2, 6)])
         assert max_degree(star) == 4
 
-    def test_multigraph_loop_counts_twice(self):
-        graph = MultiGraph(n=2, edges=((1, 1), (1, 2)))
-        assert degree_sequence(graph) == (3, 1)
-
-    def test_multigraph_from_worked_example(self):
-        graph = MultiGraph(n=5, edges=((5, 3), (5, 1), (2, 5), (2, 3)))
-        assert max_degree(graph) == 3
-
     def test_edgeless_components_are_singletons(self):
         assert components(SimpleGraph.from_edges(3)) == [(1,), (2,), (3,)]
 
@@ -121,23 +111,32 @@ class TestDegreesAndComponents:
         assert components(graph) == [(1, 2), (5, 6), (3,), (4,)]
 
 
+def complex_by_component(graph: SimpleGraph) -> dict[frozenset[int], bool]:
+    """Each component's vertex set -> ``component_stats``' edges >= vertices + 1."""
+    labels, vertex_counts, edge_counts = component_stats(
+        graph.order, *_edge_arrays(graph)
+    )
+    members: dict[int, set[int]] = {}
+    for v, label in zip(graph.vertices, labels.tolist()):
+        members.setdefault(label, set()).add(v)
+    return {
+        frozenset(comp): bool(edge_counts[c] >= vertex_counts[c] + 1)
+        for c, comp in members.items()
+    }
+
+
 class TestComplexClassification:
     def test_tree_component_not_complex(self):
         graph = SimpleGraph.from_edges(3, [(1, 2), (2, 3)])
-        assert not is_complex_component(graph, (1, 2, 3))
+        assert complex_by_component(graph) == {frozenset({1, 2, 3}): False}
 
     def test_unicyclic_not_complex(self):
         graph = SimpleGraph.from_edges(3, [(1, 2), (2, 3), (1, 3)])
-        assert not is_complex_component(graph, (1, 2, 3))
+        assert complex_by_component(graph) == {frozenset({1, 2, 3}): False}
 
     def test_bowtie_is_complex(self):
         graph = SimpleGraph.from_edges(5, BOWTIE)
-        assert is_complex_component(graph, (1, 2, 3, 4, 5))
-
-    def test_non_component_rejected(self):
-        graph = SimpleGraph.from_edges(3, [(1, 2)])
-        with pytest.raises(ValueError):
-            is_complex_component(graph, (1,))
+        assert complex_by_component(graph) == {frozenset(range(1, 6)): True}
 
     def test_matches_cycle_rank_oracle_exhaustively(self):
         from oracles import union_find_components
@@ -152,10 +151,8 @@ class TestComplexClassification:
                     >= len(comp) + 1
                     for comp in oracle_comps
                 }
-                found = components(graph)
-                assert {frozenset(c) for c in found} == set(oracle)
-                for comp in found:
-                    assert is_complex_component(graph, comp) == oracle[frozenset(comp)]
+                assert {frozenset(c) for c in components(graph)} == set(oracle)
+                assert complex_by_component(graph) == oracle
 
 
 def _rank_at_least_two(graph: SimpleGraph, comp) -> bool:
@@ -455,7 +452,7 @@ class TestArrayKernels:
         assert peeled_core(graph).vertices == (3, 8, 9, 20, 21)
         assert two_core(graph).vertices == (3, 8, 9, 20, 21)
         assert decompose(graph).non_complex.vertices == ()
-        assert is_complex_component(graph, (3, 8, 9, 20, 21, 40))
+        assert complex_by_component(graph) == {frozenset(graph.vertices): True}
 
 
 def assert_matches_scipy(n: int, us: np.ndarray, vs: np.ndarray) -> None:

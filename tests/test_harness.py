@@ -6,7 +6,7 @@ import hashlib
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degreelab.harness import (
@@ -51,6 +51,73 @@ def cores(draw):
     flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
     return draw(st.permutations(edges))
+
+
+def _common_fields(draw, max_attempts: int) -> dict:
+    return {
+        "eps": draw(st.floats(1e-6, 10.0)),
+        "seed": draw(st.integers(0, 2**63 - 1)),
+        "max_attempts": draw(st.integers(1, max_attempts)),
+        "min_hit_rate": draw(st.none() | st.floats(0.0, 1.0)),
+        "planar_only": draw(st.booleans()),
+    }
+
+
+@st.composite
+def valid_fields(draw, largest):
+    """Config fields valid for the drawn kind, with sizes up to ``largest``.
+
+    The field a kind bounds is drawn within its bounds at every grid point;
+    the fields it ignores are drawn as any count (q above the core's order
+    when a core is given, as every config checks that).
+    """
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    fields = {"experiment": experiment, "trials": draw(st.integers(1, 10**6))}
+    fields.update(_common_fields(draw, 10**6))
+    count = st.none() | st.integers(0, largest)
+    fields.update({name: draw(count) for name in ("m", "balls", "t")})
+    needs_core = experiment == "complexpart_maxdegree"
+    core = draw(cores() if needs_core else st.none() | cores())
+    q = st.integers(0 if core is None else max(map(max, core)) + 1, largest)
+    fields.update(core=core, q=draw(q if needs_core else st.none() | q))
+    if needs_core:
+        return fields
+    if experiment == "dense_ratio":
+        fields["n"] = draw(st.integers(1, 7))
+        return fields
+    least_n = 1 if experiment in ("bins_concentration", "decomposition_stats") else 2
+    size = st.integers(least_n, largest)
+    fields["n"] = n = draw(size | st.lists(size, min_size=1, max_size=4))
+    least = n if isinstance(n, int) else min(n)
+    name, lo, hi = {
+        "bins_concentration": ("balls", 1, largest),
+        "gnm_maxdegree": ("m", 1, least * (least - 1) // 2),
+        "noncomplex_maxdegree": ("m", 1, least - 1),
+        "forest_maxdegree": ("t", 1, least - 1),
+        "root_gap": ("t", 1, least - 1),
+        "decomposition_stats": ("m", 0, least * (least - 1) // 2),
+    }[experiment]
+    # Every default is valid but root_gap's t = ceil(n^0.7), which equals n
+    # below n = 4.
+    default = st.nothing() if experiment == "root_gap" and least < 4 else st.none()
+    fields[name] = draw(default | st.integers(lo, hi))
+    return fields
+
+
+@st.composite
+def small_fields(draw):
+    """One-trial config fields at small sizes, valid for the drawn kind or not."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    size = st.integers(1, 6 if experiment == "dense_ratio" else 60)
+    fields = {
+        "experiment": experiment,
+        "n": draw(st.none() | size | st.lists(size, min_size=1, max_size=3)),
+        "core": draw(st.none() | cores()),
+    }
+    count = st.none() | st.integers(0, 60)
+    fields.update({name: draw(count) for name in ("m", "balls", "t", "q")})
+    fields.update(_common_fields(draw, 20))
+    return fields
 
 
 class TestConfig:
@@ -132,6 +199,75 @@ class TestConfig:
             ),
             ("core", [], "core \\[\\] is not a valid core: .*at least one vertex"),
             ("q", 3, "q must be at least v\\(core\\) \\+ 1 = 4, got 3"),
+            # Bounds that depend on the experiment kind; a dict value holds
+            # the fields that make the case, field names the one at fault.
+            ("n", None, "n must be given for bins_concentration, got None"),
+            ("balls", 0, "balls must be positive for bins_concentration, got 0"),
+            (
+                "n",
+                {"experiment": "dense_ratio", "n": 8},
+                "n must lie in \\[1, 7\\] for dense_ratio, got 8",
+            ),
+            (
+                "n",
+                {"experiment": "dense_ratio", "n": [5, 6]},
+                "n must be a single integer for dense_ratio, got \\[5, 6\\]",
+            ),
+            (
+                "m",
+                {"experiment": "gnm_maxdegree", "n": 10, "m": 46},
+                "m must lie in \\[1, 45\\] for gnm_maxdegree with n = 10, got 46",
+            ),
+            (
+                "m",
+                {"experiment": "gnm_maxdegree", "n": [100, 1]},
+                "m must lie in \\[1, 0\\] for gnm_maxdegree with n = 1, "
+                "got 0 \\(its default\\)",
+            ),
+            (
+                "m",
+                {"experiment": "noncomplex_maxdegree", "n": 10, "m": 10},
+                "m must lie in \\[1, 9\\] for noncomplex_maxdegree with n = 10, "
+                "got 10",
+            ),
+            (
+                "m",
+                {"experiment": "noncomplex_maxdegree", "n": 1},
+                "m must lie in \\[1, 0\\] for noncomplex_maxdegree with n = 1, "
+                "got 0 \\(its default\\)",
+            ),
+            (
+                "m",
+                {"experiment": "decomposition_stats", "n": 4, "m": 7},
+                "m must lie in \\[0, 6\\] for decomposition_stats with n = 4, got 7",
+            ),
+            (
+                "t",
+                {"experiment": "forest_maxdegree", "n": 10, "t": 10},
+                "t must lie in \\[1, 9\\] for forest_maxdegree with n = 10, got 10",
+            ),
+            (
+                "t",
+                {"experiment": "root_gap", "n": 2},
+                "t must lie in \\[1, 1\\] for root_gap with n = 2, "
+                "got 2 \\(its default\\)",
+            ),
+            (
+                "t",
+                {"experiment": "root_gap", "n": 3},
+                "t must lie in \\[1, 2\\] for root_gap with n = 3, "
+                "got 3 \\(its default\\)",
+            ),
+            (
+                "q",
+                {"experiment": "complexpart_maxdegree"},
+                "q must be given for complexpart_maxdegree, got None",
+            ),
+            (
+                "core",
+                {"experiment": "complexpart_maxdegree", "q": 50, "core": None},
+                "core must be given for complexpart_maxdegree, got None",
+            ),
         ],
     )
     def test_bad_values_rejected_with_field_and_value(self, field, value, message):
@@ -141,40 +277,29 @@ class TestConfig:
             "experiment": "bins_concentration",
             "n": 100,
             "core": [[1, 2], [2, 3], [1, 3]],
-            field: value,
         }
+        data.update(value if isinstance(value, dict) else {field: value})
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(data)
 
-    @given(
-        experiment=st.sampled_from(EXPERIMENTS),
-        n=st.none()
-        | st.integers(1, 10**9)
-        | st.lists(st.integers(1, 10**9), min_size=1, max_size=4),
-        trials=st.integers(1, 10**6),
-        eps=st.floats(1e-6, 10.0),
-        seed=st.integers(0, 2**63 - 1),
-        counts=st.fixed_dictionaries(
-            {f: st.none() | st.integers(0, 10**9) for f in ("m", "balls", "t", "q")}
-        ),
-        core=st.none() | cores(),
-        max_attempts=st.integers(1, 10**6),
-        min_hit_rate=st.none() | st.floats(0.0, 1.0),
-        planar_only=st.booleans(),
-    )
-    def test_valid_configs_round_trip_through_dict(
-        self, experiment, n, trials, eps, seed, counts, core, max_attempts,
-        min_hit_rate, planar_only,
-    ):
-        assume(core is None or counts["q"] is None or counts["q"] > max(map(max, core)))
-        cfg = ExperimentConfig(
-            experiment=experiment, n=n, trials=trials, eps=eps, seed=seed,
-            core=core, max_attempts=max_attempts, min_hit_rate=min_hit_rate,
-            planar_only=planar_only, **counts,
-        )
+    @given(fields=valid_fields(largest=10**9))
+    def test_valid_configs_round_trip_through_dict(self, fields):
+        cfg = ExperimentConfig(**fields)
         data = cfg.to_dict()
-        assert data["n"] == n and data["trials"] == trials
+        assert data["n"] == fields.get("n") and data["trials"] == fields["trials"]
         assert ExperimentConfig.from_dict(data) == cfg
+
+    @settings(deadline=None)
+    @given(fields=small_fields())
+    def test_accepted_small_configs_run(self, fields):
+        try:
+            cfg = ExperimentConfig(**fields)
+        except ValueError:
+            return
+        result = run_experiment(cfg, jobs=1)
+        assert result.summary["trials"] == len(result.records)
+        if cfg.experiment != "dense_ratio":
+            assert len(result.records) == len(cfg.n_grid)
 
     @given(
         bad=st.one_of(

@@ -9,13 +9,11 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from degreelab.balls_bins import LocationVector
 from degreelab.concentration import balanced_concentration, concentration_point
 from degreelab import graphs
 from degreelab.graphs import (
     SimpleGraph,
     complete_graph_edges,
-    degree_sequence,
     is_planar,
     max_degree,
     peeled_core,
@@ -27,13 +25,12 @@ from degreelab.samplers import (
     RejectionLimitError,
     build_complex_part,
     complex_part_from_forest,
-    multigraph_from_locations,
     sample_gnm,
     sample_gnm_arrays,
     sample_noncomplex,
 )
 
-from oracles import has_complex_component, unique_rejection_loop
+from oracles import ReplayRng, has_complex_component, unique_rejection_loop
 
 TRIANGLE = SimpleGraph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
 BOWTIE = SimpleGraph.from_edges(5, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)])
@@ -47,35 +44,29 @@ class _ConstantRng:
 
 
 class TestMultigraphFromLocations:
+    """The pairing inside ``sample_gnm_arrays``: locations 2i-1, 2i make edge i."""
+
     def test_worked_example(self):
-        location = LocationVector(n_bins=5, entries=[5, 3, 5, 1, 2, 5, 2, 3])
-        graph = multigraph_from_locations(location)
-        assert graph.n == 5
-        assert Counter(graph.edges) == Counter(
-            [(3, 5), (1, 5), (2, 5), (2, 3)]
+        us, vs, loads, report = sample_gnm_arrays(
+            5, 4, ReplayRng([5, 3, 5, 1, 2, 5, 2, 3]), max_attempts=1
         )
-        assert max_degree(graph) == 3
+        assert list(zip(us.tolist(), vs.tolist())) == [(5, 3), (5, 1), (2, 5), (2, 3)]
+        assert loads.tolist() == [1, 2, 2, 0, 3]
+        assert report.attempts == 1
 
     def test_pair_becomes_loop(self):
-        location = LocationVector(n_bins=2, entries=[1, 1])
-        graph = multigraph_from_locations(location)
-        assert graph.edges == ((1, 1),)
-        assert not graph.is_simple()
-
-    def test_odd_length_rejected(self):
-        with pytest.raises(ValueError):
-            multigraph_from_locations(LocationVector(n_bins=3, entries=[1, 2, 3]))
+        with pytest.raises(RejectionLimitError) as info:
+            sample_gnm_arrays(2, 1, ReplayRng([1, 1]), max_attempts=1)
+        assert info.value.report.reject_reasons["loop"] == 1
 
     def test_degrees_equal_loads(self):
         rng = derive_rng(31, 0)
         for _ in range(20):
             n = int(rng.integers(2, 30))
-            m = int(rng.integers(0, 20))
-            entries = rng.integers(1, n + 1, size=2 * m)
-            location = LocationVector(n_bins=n, entries=entries)
-            graph = multigraph_from_locations(location)
-            loads = np.bincount(entries, minlength=n + 1)[1:]
-            assert list(degree_sequence(graph)) == loads.tolist()
+            m = int(rng.integers(0, min(20, n)))
+            us, vs, loads, _ = sample_gnm_arrays(n, m, rng)
+            degrees = np.bincount(np.concatenate((us, vs)), minlength=n + 1)[1:]
+            assert loads.tolist() == degrees.tolist()
 
 
 class TestSampleGnm:
@@ -90,11 +81,13 @@ class TestSampleGnm:
         # edges arises from exactly 2^3 * 3! = 48 vectors.
         counts: Counter = Counter()
         for entries in product(range(1, 5), repeat=6):
-            graph = multigraph_from_locations(
-                LocationVector(n_bins=4, entries=entries)
-            )
-            if graph.is_simple():
-                counts[frozenset(graph.edges)] += 1
+            try:
+                us, vs, _, _ = sample_gnm_arrays(
+                    4, 3, ReplayRng(entries), max_attempts=1
+                )
+            except RejectionLimitError:
+                continue
+            counts[frozenset(map(frozenset, zip(us.tolist(), vs.tolist())))] += 1
         assert len(counts) == 20
         assert set(counts.values()) == {48}
 
