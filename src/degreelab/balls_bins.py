@@ -84,13 +84,6 @@ def max_load(load_vector: LoadVector) -> int:
     return int(load_vector.loads.max())
 
 
-def max_load_prefix(load_vector: LoadVector, t: int) -> int:
-    """Maximum load over the first t bins; t must lie in [1, n_bins]."""
-    if not 1 <= t <= load_vector.n_bins:
-        raise ValueError(f"t must lie in [1, {load_vector.n_bins}], got {t}")
-    return int(load_vector.loads[:t].max())
-
-
 def expected_bins_with_load(l: int, n_bins: int, k: int) -> float:
     """Expected number of bins with load exactly l.
 

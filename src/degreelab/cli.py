@@ -32,7 +32,13 @@ from degreelab.graphs import (
     max_degree,
     read_edge_list,
 )
-from degreelab.pruefer import encode, sample_forest_degrees, sample_uniform_forest
+from degreelab.pruefer import (
+    decode_arrays,
+    encode,
+    sample_codeword,
+    sample_forest_degrees,
+    sample_uniform_forest,
+)
 from degreelab.rng import derive_rng
 from degreelab.samplers import build_complex_part, sample_gnm, sample_noncomplex
 
@@ -49,6 +55,14 @@ def _enumeration_order(text: str) -> int:
     if not 1 <= n <= ENUMERATION_LIMIT:
         raise argparse.ArgumentTypeError(f"must lie in {span}, got {n}")
     return n
+
+
+def _edge_list(path: str) -> SimpleGraph:
+    """argparse type for an edge-list file: the graph it holds."""
+    try:
+        return read_edge_list(path)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"{path}: {exc}") from None
 
 
 def _experiment_config(path: str) -> harness.ExperimentConfig:
@@ -107,12 +121,21 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     p_cp = sample_sub.add_parser("complex-part", help="uniform complex part over a core")
-    p_cp.add_argument("--core", required=True, help="edge-list file with the core")
+    p_cp.add_argument(
+        "--core", type=_edge_list, required=True, help="edge-list file with the core"
+    )
     p_cp.add_argument("--q", type=int, required=True)
     p_cp.add_argument("--seed", type=int, required=True)
 
     p_dec = sub.add_parser("decompose", help="core / complex parts / rest of a graph")
-    p_dec.add_argument("--in", dest="input_path", required=True, help="edge-list file")
+    p_dec.add_argument(
+        "--in",
+        dest="graph",
+        type=_edge_list,
+        required=True,
+        metavar="PATH",
+        help="edge-list file",
+    )
 
     p_enum = sub.add_parser("enumerate", help="exhaustive class enumeration")
     enum_sub = p_enum.add_subparsers(dest="what", required=True)
@@ -180,17 +203,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             degrees = sample_forest_degrees(args.n, args.t, rng).tolist()
             print(json.dumps({"n": args.n, "t": args.t, "degrees": degrees}))
             return 0
-        forest = sample_uniform_forest(args.n, args.t, rng)
         if args.emit == "pruefer":
-            sequence = encode(forest)
-            print(
-                json.dumps(
-                    {"n": args.n, "t": args.t, "sequence": list(sequence.entries)}
-                )
-            )
+            forest = sample_uniform_forest(args.n, args.t, rng)
+            print(json.dumps({"n": args.n, "t": args.t, "sequence": encode(forest)}))
         else:
-            graph = SimpleGraph.from_edges(args.n, forest.edges)
-            sys.stdout.write(format_edge_list(graph))
+            codeword = sample_codeword(args.n, args.t, rng)
+            lo, hi = decode_arrays(codeword, args.n, args.t)
+            sys.stdout.write(format_edge_list(SimpleGraph.from_arrays(args.n, lo, hi)))
         return 0
     if args.structure in ("gnm", "noncomplex"):
         sampler = sample_gnm if args.structure == "gnm" else sample_noncomplex
@@ -209,15 +228,14 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             )
         return 0
     if args.structure == "complex-part":
-        core = read_edge_list(args.core)
-        graph = build_complex_part(core, args.q, rng)
+        graph = build_complex_part(args.core, args.q, rng)
         sys.stdout.write(format_edge_list(graph))
         return 0
     raise SystemExit(f"unknown structure {args.structure!r}")
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    graph = read_edge_list(args.input_path)
+    graph = args.graph
     parts = decompose(graph)
     k, l = isolated_counts(graph)
     payload = {

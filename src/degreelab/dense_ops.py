@@ -283,9 +283,11 @@ def sweep_ratio_bounds(n: int, planar_only: bool = True) -> list[RatioCheck]:
     """Ratio checks for every hypothesis-satisfying signature on [n].
 
     Covers all (m, k, l, d) with k >= 1, l >= 2, d >= 3 for which the source
-    or the image class is nonempty.  (At n <= 7 the hypotheses pin down at
-    least k + 2l + d + 1 >= 9 vertices, so every source class is empty and
-    each check is vacuous; the sweep still reports the image-class sizes.)
+    or the image class is nonempty.  For n <= 8 there is none, and the list
+    is empty: a nonempty source class needs k + 2l + d + 1 >= 9 vertices,
+    and a nonempty image class k >= 4 isolated vertices plus one of degree
+    at least 4, nine again.  So at every n of the exhaustive table the
+    sweep checks nothing.
     """
     table = classify_all_graphs(n)
     checks: list[RatioCheck] = []

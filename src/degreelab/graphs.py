@@ -54,8 +54,10 @@ class SimpleGraph:
     """Immutable labelled simple graph on an explicit vertex set.
 
     Vertices are positive integers; edges are unordered pairs of distinct
-    vertices, stored with the smaller endpoint first.  An empty vertex set is
-    allowed so that subgraphs (cores, decomposition parts) can be empty.
+    vertices, stored with the smaller endpoint first.  ``edges`` may be given
+    as any iterable of pairs; an edge given twice, in either orientation, is
+    an error.  An empty vertex set is allowed so that subgraphs (cores,
+    decomposition parts) can be empty.
     """
 
     vertices: tuple[int, ...]
@@ -72,6 +74,8 @@ class SimpleGraph:
             e = canonical_edge(u, v)
             if e[0] not in vset or e[1] not in vset:
                 raise ValueError(f"edge {e} has an endpoint outside the vertex set")
+            if e in canonical:
+                raise ValueError(f"edge {e} appears more than once")
             canonical.add(e)
         object.__setattr__(self, "edges", frozenset(canonical))
 
@@ -80,10 +84,7 @@ class SimpleGraph:
         """Graph on vertex set 1..n with the given edges."""
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
-        return cls(
-            vertices=tuple(range(1, n + 1)),
-            edges=frozenset(canonical_edge(u, v) for u, v in edges),
-        )
+        return cls(vertices=tuple(range(1, n + 1)), edges=edges)
 
     @classmethod
     def from_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray) -> SimpleGraph:
@@ -140,9 +141,6 @@ class SimpleGraph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self.edges
 
 
 def degree_sequence(graph: SimpleGraph) -> tuple[int, ...]:
@@ -621,8 +619,3 @@ def parse_edge_list(text: str) -> SimpleGraph:
 def read_edge_list(path: str) -> SimpleGraph:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_edge_list(handle.read())
-
-
-def write_edge_list(graph: SimpleGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(format_edge_list(graph))

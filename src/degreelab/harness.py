@@ -39,9 +39,14 @@ from degreelab import dense_ops
 from degreelab.balls_bins import loads as bin_loads
 from degreelab.balls_bins import max_load, sample_locations
 from degreelab.graphs import ENUMERATION_LIMIT, SimpleGraph, decompose_masks, peel
-from degreelab.pruefer import decode_arrays, sample_codeword, sample_forest_degrees
+from degreelab.pruefer import sample_forest_degrees
 from degreelab.rng import derive_rng
-from degreelab.samplers import RejectionLimitError, sample_gnm_arrays, validate_core
+from degreelab.samplers import (
+    RejectionLimitError,
+    complex_part_arrays,
+    sample_gnm_arrays,
+    validate_core,
+)
 
 JOBS_ENV_VAR = "DEGREELAB_JOBS"
 
@@ -82,7 +87,7 @@ def _core_graph(value: Any) -> SimpleGraph:
             raise ValueError(
                 f"core edges must be [u, v] integer pairs, got {edge!r}"
             )
-    edges = frozenset((int(u), int(v)) for u, v in value)
+    edges = [(int(u), int(v)) for u, v in value]
     try:
         core = SimpleGraph(vertices=tuple({v for e in edges for v in e}), edges=edges)
         validate_core(core)
@@ -307,13 +312,12 @@ def _plan_forest(cfg: ExperimentConfig, n: int | None) -> dict[str, Any]:
 def _plan_complexpart(cfg: ExperimentConfig, n: int | None) -> dict[str, Any]:
     core = _core_graph(_given(cfg, "core", cfg.core))
     q = _given(cfg, "q", cfg.q)
-    core_edges = np.array(sorted(core.edges), dtype=np.int64).reshape(-1, 2)
-    return {
-        "q": q,
-        "core": core,
-        "core_edges": (core_edges[:, 0], core_edges[:, 1]),
-        **_window(conc.balanced_concentration(q), cfg.eps, 1),
-    }
+    if cfg.n is not None:
+        given = list(cfg.n) if isinstance(cfg.n, tuple) else cfg.n
+        raise ValueError(
+            f"n must be left out for {cfg.experiment}, which reads q, got {given}"
+        )
+    return {"q": q, "core": core, **_window(conc.balanced_concentration(q), cfg.eps, 1)}
 
 
 def _plan_root_gap(cfg: ExperimentConfig, n: int | None) -> dict[str, Any]:
@@ -367,15 +371,9 @@ def _root_gap_trial(cfg, plan, rng, aux) -> int:
 
 
 def _complexpart_trial(cfg, plan, rng, aux) -> int:
-    # The complex part is the core with a uniform rooted forest grafted
-    # on, one root per core vertex; the core's edges come first.
     core: SimpleGraph = plan["core"]
     q, v = plan["q"], core.order
-    codeword = sample_codeword(q, v, rng)
-    forest_lo, forest_hi = decode_arrays(codeword, q, v)
-    core_us, core_vs = plan["core_edges"]
-    us = np.concatenate((core_us, forest_lo))
-    vs = np.concatenate((core_vs, forest_hi))
+    us, vs = complex_part_arrays(core, q, rng)
     degrees = np.bincount(np.concatenate((us, vs)), minlength=q + 1)[1:]
     alive = peel(q, us, vs)
     kept_edges = np.flatnonzero(alive[us - 1] & alive[vs - 1])
@@ -672,20 +670,3 @@ def emit(
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
 
-
-def load_records_json(path: str) -> tuple[list[TrialRecord], dict[str, Any]]:
-    """Parse a JSON emission back into records and summary."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    records = [
-        TrialRecord(
-            trial_index=item["trial"],
-            observed=item["observed"],
-            lo=item["lo"],
-            hi=item["hi"],
-            in_interval=item["in_interval"],
-            auxiliary=item["auxiliary"],
-        )
-        for item in payload["records"]
-    ]
-    return records, payload["summary"]

@@ -17,28 +17,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from degreelab.graphs import _distinct, component_stats
+from degreelab.graphs import SimpleGraph, _distinct, component_stats
 
 Edge = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class PrueferSequence:
-    """Codeword of a rooted forest; for F(n, t) it has length n - t."""
-
-    entries: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
 class RootedForest:
     """Forest on [n] whose roots 1..t lie in pairwise distinct components.
 
-    Invariants (checked by ``validate``): exactly t components, acyclic, one
-    root per component, and exactly n - t edges.  Edges are stored with the
-    smaller endpoint first.
+    Construction checks the edges as ``SimpleGraph`` does (no loops, labels
+    in [1, n], no edge twice), stores them with the smaller endpoint first,
+    and checks that there are exactly n - t.  ``validate`` checks the rest:
+    acyclic, one root per component.
     """
 
     n: int
@@ -48,14 +39,8 @@ class RootedForest:
     def __post_init__(self) -> None:
         if not 1 <= self.t <= self.n:
             raise ValueError(f"need 1 <= t <= n, got t={self.t}, n={self.n}")
-        canonical = set()
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u} is not allowed in a forest")
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValueError(f"edge ({u}, {v}) leaves the vertex range [1, {self.n}]")
-            canonical.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "edges", frozenset(canonical))
+        edges = SimpleGraph.from_edges(self.n, self.edges).edges
+        object.__setattr__(self, "edges", edges)
         if len(self.edges) != self.n - self.t:
             raise ValueError(
                 f"a forest in F({self.n}, {self.t}) must have {self.n - self.t} "
@@ -72,11 +57,6 @@ class RootedForest:
         if _distinct(labels[: self.t]).size != self.t:
             raise ValueError("two roots share a component")
 
-    def degree(self, v: int) -> int:
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} is outside [1, {self.n}]")
-        return sum(1 for u, w in self.edges if v in (u, w))
-
 
 def _require_codable(n: int, t: int) -> None:
     if t < 1:
@@ -88,7 +68,7 @@ def _require_codable(n: int, t: int) -> None:
         )
 
 
-def encode(forest: RootedForest) -> PrueferSequence:
+def encode(forest: RootedForest) -> tuple[int, ...]:
     """Codeword of a rooted forest.
 
     Repeatedly removes the leaf with the largest label and records its unique
@@ -119,14 +99,12 @@ def encode(forest: RootedForest) -> PrueferSequence:
         adjacency[neighbour].discard(leaf)
         if len(adjacency[neighbour]) == 1 and neighbour > t:
             heapq.heappush(heap, -neighbour)
-    return PrueferSequence(entries=tuple(recorded))
+    return tuple(recorded)
 
 
 def _sequence_entries(
-    sequence: PrueferSequence | Sequence[int] | Iterable[int] | np.ndarray,
+    sequence: Sequence[int] | Iterable[int] | np.ndarray,
 ) -> np.ndarray:
-    if isinstance(sequence, PrueferSequence):
-        sequence = sequence.entries
     entries = np.asarray(
         sequence if isinstance(sequence, np.ndarray) else tuple(sequence)
     )
@@ -152,7 +130,7 @@ def _validate_sequence(entries: np.ndarray, n: int, t: int) -> None:
 
 
 def decode_arrays(
-    sequence: PrueferSequence | Sequence[int] | np.ndarray, n: int, t: int
+    sequence: Sequence[int] | np.ndarray, n: int, t: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Edges of the forest encoded by a codeword, as (lo, hi) endpoint arrays.
 
@@ -190,28 +168,10 @@ def decode_arrays(
     return np.minimum(entries, others), np.maximum(entries, others)
 
 
-def decode(
-    sequence: PrueferSequence | Sequence[int] | np.ndarray, n: int, t: int
-) -> RootedForest:
+def decode(sequence: Sequence[int] | np.ndarray, n: int, t: int) -> RootedForest:
     """Rooted forest encoded by a codeword; inverse of ``encode``."""
     lo, hi = decode_arrays(sequence, n, t)
     return RootedForest(n=n, t=t, edges=frozenset(zip(lo.tolist(), hi.tolist())))
-
-
-def degree_from_sequence(
-    sequence: PrueferSequence | Sequence[int], v: int, n: int, t: int
-) -> int:
-    """Degree of vertex v in the forest encoded by the codeword.
-
-    Equals the occurrence count of v in the codeword, plus one iff v is not a
-    root.
-    """
-    entries = _sequence_entries(sequence)
-    _validate_sequence(entries, n, t)
-    if not 1 <= v <= n:
-        raise ValueError(f"vertex {v} is outside [1, {n}]")
-    count = int(np.count_nonzero(entries == v))
-    return count + 1 if v > t else count
 
 
 def count_forests(n: int, t: int) -> int:

@@ -9,7 +9,8 @@ by rejection, which stays feasible because the acceptance probability is
 bounded away from zero for m = O(n).
 
 A uniform complex part with a prescribed core is built directly, without
-rejection, by attaching a uniform rooted forest to the core's vertices.
+rejection, by attaching a uniform rooted forest to the core's vertices:
+``complex_part_arrays`` returns its endpoint arrays, the core's edges first.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from degreelab.graphs import SimpleGraph, has_complex_component
-from degreelab.pruefer import RootedForest, sample_uniform_forest
+from degreelab.graphs import SimpleGraph, _edge_arrays, has_complex_component
+from degreelab.pruefer import RootedForest, decode_arrays, sample_codeword
 
 REJECT_LOOP = "loop"
 REJECT_PARALLEL = "parallel_edge"
@@ -142,6 +143,31 @@ def validate_core(core: SimpleGraph) -> None:
         raise ValueError("every core vertex must have degree at least two")
 
 
+def _graft(
+    core: SimpleGraph, forest_lo: np.ndarray, forest_hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays of the core's edges followed by the forest's."""
+    core_us, core_vs = _edge_arrays(core)
+    return np.concatenate((core_us, forest_lo)), np.concatenate((core_vs, forest_hi))
+
+
+def complex_part_arrays(
+    core: SimpleGraph, q: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays of a uniform graph on [q] whose peeling recovers ``core``.
+
+    Draws a uniform codeword for F(q, v(core)) and grafts the forest it
+    encodes onto the core, one root per core vertex.  The first
+    ``core.size`` edges are the core's.  When the core has no bare-cycle
+    component the result is a uniform complex graph with that core.
+    """
+    validate_core(core)
+    v = core.order
+    if q < v + 1:
+        raise ValueError(f"q must be at least v(core) + 1 = {v + 1}, got {q}")
+    return _graft(core, *decode_arrays(sample_codeword(q, v, rng), q, v))
+
+
 def complex_part_from_forest(core: SimpleGraph, forest: RootedForest) -> SimpleGraph:
     """Graph obtained by replacing core vertex r by the forest tree rooted at r.
 
@@ -155,10 +181,8 @@ def complex_part_from_forest(core: SimpleGraph, forest: RootedForest) -> SimpleG
             f"forest must have one root per core vertex: t={forest.t}, "
             f"v(core)={core.order}"
         )
-    return SimpleGraph(
-        vertices=tuple(range(1, forest.n + 1)),
-        edges=core.edges | forest.edges,
-    )
+    pairs = np.array(sorted(forest.edges), dtype=np.int64).reshape(-1, 2)
+    return SimpleGraph.from_arrays(forest.n, *_graft(core, pairs[:, 0], pairs[:, 1]))
 
 
 def build_complex_part(
@@ -166,12 +190,6 @@ def build_complex_part(
 ) -> SimpleGraph:
     """Uniform graph on [q] whose degree-one peeling recovers ``core``.
 
-    Samples a uniform rooted forest with one root per core vertex and grafts
-    it onto the core.  When the core has no bare-cycle component the result
-    is a uniform complex graph with that core.
+    The graph of ``complex_part_arrays``, drawn with the same generator use.
     """
-    validate_core(core)
-    if q < core.order + 1:
-        raise ValueError(f"q must be at least v(core) + 1 = {core.order + 1}, got {q}")
-    forest = sample_uniform_forest(q, core.order, rng)
-    return complex_part_from_forest(core, forest)
+    return SimpleGraph.from_arrays(q, *complex_part_arrays(core, q, rng))

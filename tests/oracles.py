@@ -20,19 +20,23 @@ Edge = tuple[int, int]
 
 
 class ReplayRng:
-    """Generator stand-in whose every draw is one fixed location vector.
+    """Generator stand-in that answers ``integers`` calls with fixed draws, in order.
 
-    With ``max_attempts=1``, ``sample_gnm_arrays`` runs its pairing, loop
-    check and parallel-edge check on exactly that vector.
+    A draw is an array, or a scalar for a call without ``size``.  With
+    ``max_attempts=1``, ``sample_gnm_arrays`` runs its pairing, loop check
+    and parallel-edge check on exactly one location vector; given a
+    codeword's body and last entry, ``sample_forest_degrees`` reads the
+    degrees of exactly that codeword.
     """
 
-    def __init__(self, entries):
-        self.entries = np.asarray(entries, dtype=np.int64)
+    def __init__(self, *draws):
+        self.draws = [np.asarray(draw, dtype=np.int64) for draw in draws]
 
     def integers(self, low, high=None, size=None, dtype=np.int64):
-        assert size == self.entries.size
-        assert low <= self.entries.min() and self.entries.max() < high
-        return self.entries.astype(dtype)
+        draw = self.draws.pop(0)
+        assert draw.shape == (() if size is None else (size,))
+        assert np.all((low <= draw) & (draw < high))
+        return int(draw) if size is None else draw.astype(dtype)
 
 
 def union_find_components(n: int, edges) -> list[set[int]]:

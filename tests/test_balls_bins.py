@@ -12,12 +12,10 @@ import pytest
 from scipy import stats
 
 from degreelab.balls_bins import (
-    LoadVector,
     LocationVector,
     expected_bins_with_load,
     loads,
     max_load,
-    max_load_prefix,
     sample_locations,
 )
 from degreelab.concentration import balanced_concentration
@@ -56,22 +54,6 @@ class TestLocationsAndLoads:
             k = int(rng.integers(0, 200))
             location = sample_locations(n, k, rng)
             assert loads(location).total == k
-
-    def test_prefix_max_is_monotone_and_matches_full(self):
-        rng = np.random.default_rng(4)
-        location = sample_locations(20, 60, rng)
-        load_vector = loads(location)
-        values = [max_load_prefix(load_vector, t) for t in range(1, 21)]
-        assert values == sorted(values)
-        assert values[-1] == max_load(load_vector)
-        assert values[0] == int(load_vector.loads[0])
-
-    def test_prefix_range_is_checked(self):
-        load_vector = LoadVector(loads=[1, 2, 0])
-        with pytest.raises(ValueError):
-            max_load_prefix(load_vector, 0)
-        with pytest.raises(ValueError):
-            max_load_prefix(load_vector, 4)
 
     def test_entries_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -164,7 +146,7 @@ class TestMaxLoadConcentration:
                 rng = derive_rng(616161, offset + i)
                 location = sample_locations(n, n, rng)
                 load_vector = loads(location)
-                gaps.append(max_load(load_vector) - max_load_prefix(load_vector, t))
+                gaps.append(max_load(load_vector) - int(load_vector.loads[:t].max()))
             medians[n] = float(np.median(gaps))
         assert medians[10**6] > medians[10**4]
 

@@ -162,6 +162,43 @@ class TestDecomposeCommand:
         assert payload["isolated_edges"] == 1
 
 
+class TestEdgeListFiles:
+    """A bad edge-list file is a usage error that names the file."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            pytest.param(["decompose", "--in"], id="decompose"),
+            pytest.param(
+                ["sample", "complex-part", "--q", "10", "--seed", "1", "--core"],
+                id="complex-part",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("3 2\n1 2\n", "expected 2 edges after the header"),
+            ("3 1\n2 2\n", "loop at vertex 2 is not a simple-graph edge"),
+            ("3 1\n1 4\n", "edge \\(1, 4\\) has an endpoint outside the vertex set"),
+            ("3 3\n1 2\n2 1\n2 3\n", "edge \\(1, 2\\) appears more than once"),
+            ("3 1\n1 two\n", "invalid literal for int"),
+            (None, "No such file or directory"),
+        ],
+    )
+    def test_bad_file_is_a_usage_error(self, capsys, tmp_path, command, text, message):
+        path = tmp_path / "graph.txt"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, str(path)])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = re.escape(f"argument {command[-1]}: {path}: ")
+        assert re.search(prefix + ".*" + message, captured.err)
+
+
 class TestEnumerateCommand:
     def test_vacuous_sweep_reports_header_and_note(self, capsys):
         code, out, err = run_cli(capsys, "enumerate", "dense-ratio", "--n", "7", "--planar")
@@ -330,6 +367,11 @@ class TestExperimentCommand:
                 '{"experiment": "complexpart_maxdegree",'
                 ' "core": [[1, 2], [2, 3], [1, 3]]}',
                 "q must be given for complexpart_maxdegree, got None",
+            ),
+            (
+                '{"experiment": "complexpart_maxdegree", "n": 10, "q": 50,'
+                ' "core": [[1, 2], [2, 3], [1, 3]]}',
+                "n must be left out for complexpart_maxdegree, which reads q, got 10",
             ),
         ],
     )

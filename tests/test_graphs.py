@@ -57,6 +57,21 @@ class TestSimpleGraphBasics:
         with pytest.raises(ValueError):
             SimpleGraph(vertices=(1, 2), edges=frozenset({(1, 3)}))
 
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            pytest.param([(1, 2), (1, 2)], id="exact"),
+            pytest.param([(1, 2), (2, 1)], id="reversed"),
+            pytest.param(frozenset({(2, 1), (1, 2)}), id="reversed-in-a-frozenset"),
+        ],
+    )
+    def test_rejects_repeated_edges(self, edges):
+        repeated = "edge \\(1, 2\\) appears more than once"
+        with pytest.raises(ValueError, match=repeated):
+            SimpleGraph(vertices=(1, 2, 3), edges=edges)
+        with pytest.raises(ValueError, match=repeated):
+            SimpleGraph.from_edges(3, edges)
+
     def test_edges_are_canonicalised(self):
         graph = SimpleGraph.from_edges(3, [(3, 1), (2, 1)])
         assert graph.edges == frozenset({(1, 3), (1, 2)})
@@ -648,3 +663,7 @@ class TestEdgeListFormat:
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             parse_edge_list("3 2\n1 2\n")
+
+    def test_rejects_repeated_edge(self):
+        with pytest.raises(ValueError, match="edge \\(1, 2\\) appears more than once"):
+            parse_edge_list("3 3\n1 2\n2 1\n2 3\n")

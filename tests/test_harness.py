@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from itertools import combinations
 
 import pytest
@@ -16,7 +17,6 @@ from degreelab.harness import (
     TrialRecord,
     default_jobs,
     emit,
-    load_records_json,
     run_experiment,
 )
 from degreelab.rng import derive_seed, mix64
@@ -267,6 +267,22 @@ class TestConfig:
                 "core",
                 {"experiment": "complexpart_maxdegree", "q": 50, "core": None},
                 "core must be given for complexpart_maxdegree, got None",
+            ),
+            (
+                "core",
+                {
+                    "experiment": "complexpart_maxdegree",
+                    "n": None,
+                    "q": 20,
+                    "core": [[1, 2], [2, 3], [1, 3], [3, 1]],
+                },
+                "core .* is not a valid core: edge \\(1, 3\\) appears more than once",
+            ),
+            (
+                "n",
+                {"experiment": "complexpart_maxdegree", "n": [10, 20], "q": 50},
+                "n must be left out for complexpart_maxdegree, which reads q, "
+                "got \\[10, 20\\]",
             ),
         ],
     )
@@ -532,9 +548,16 @@ class TestEmit:
         ]
         path = tmp_path / "r.json"
         emit(records, "json", str(path), summary={"hit_rate": 0.5})
-        loaded, summary = load_records_json(str(path))
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        loaded = [
+            TrialRecord(
+                r["trial"], r["observed"], r["lo"], r["hi"], r["in_interval"], r["auxiliary"]
+            )
+            for r in payload["records"]
+        ]
         assert loaded == records
-        assert summary == {"hit_rate": 0.5}
+        assert payload["summary"] == {"hit_rate": 0.5}
 
     def test_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):

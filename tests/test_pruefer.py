@@ -15,7 +15,6 @@ from degreelab.pruefer import (
     count_forests,
     decode,
     decode_arrays,
-    degree_from_sequence,
     encode,
     sample_forest_degrees,
     sample_uniform_forest,
@@ -23,6 +22,7 @@ from degreelab.pruefer import (
 from degreelab.rng import derive_rng
 
 from oracles import (
+    ReplayRng,
     all_forests,
     forest_degree_law,
     forest_degrees,
@@ -39,11 +39,11 @@ EXAMPLE_CODEWORD = (4, 9, 8, 1, 8, 2)
 class TestEncode:
     def test_worked_example(self):
         forest = RootedForest(n=9, t=3, edges=EXAMPLE_EDGES)
-        assert encode(forest).entries == EXAMPLE_CODEWORD
+        assert encode(forest) == EXAMPLE_CODEWORD
 
     def test_single_edge(self):
         forest = RootedForest(n=2, t=1, edges=frozenset({(1, 2)}))
-        assert encode(forest).entries == (1,)
+        assert encode(forest) == (1,)
 
     def test_one_extra_vertex_records_its_root(self):
         for t in (1, 2, 3):
@@ -51,7 +51,7 @@ class TestEncode:
                 forest = RootedForest(
                     n=t + 1, t=t, edges=frozenset({(root, t + 1)})
                 )
-                assert encode(forest).entries == (root,)
+                assert encode(forest) == (root,)
 
     def test_rejects_n_equal_t(self):
         forest = RootedForest(n=3, t=3, edges=frozenset())
@@ -76,7 +76,7 @@ class TestEncode:
             for edges in all_forests(n, t):
                 recorded, removed = naive_largest_leaf_peeling(n, t, edges)
                 forest = RootedForest(n=n, t=t, edges=edges)
-                assert encode(forest).entries == tuple(recorded)
+                assert encode(forest) == tuple(recorded)
                 # removed leaves are exactly the non-roots, each exactly once
                 assert sorted(removed) == list(range(t + 1, n + 1))
 
@@ -110,7 +110,7 @@ class TestDecode:
                         codeword = body + (last,)
                         forest = decode(codeword, n, t)
                         forest.validate()
-                        assert encode(forest).entries == codeword
+                        assert encode(forest) == codeword
                         forests.add(forest.edges)
                 assert len(forests) == count_forests(n, t)
 
@@ -144,19 +144,23 @@ class TestDecode:
                 assert decode(encode(forest), n, t).edges == edges
 
 
+def _codeword_degrees(codeword, n, t) -> list[int]:
+    """Degrees that ``sample_forest_degrees`` reads off exactly this codeword."""
+    rng = ReplayRng(codeword[:-1], codeword[-1])
+    return sample_forest_degrees(n, t, rng).tolist()
+
+
 class TestDegreeFormula:
+    """Degrees read off a codeword: occurrence count, plus one for non-roots."""
+
     def test_worked_example_vertex_eight(self):
-        assert degree_from_sequence(EXAMPLE_CODEWORD, 8, n=9, t=3) == 3
+        assert _codeword_degrees(EXAMPLE_CODEWORD, n=9, t=3)[8 - 1] == 3
 
     def test_absent_root_is_isolated(self):
-        assert degree_from_sequence((2, 2, 1), 3, n=6, t=3) == 0
+        assert _codeword_degrees((2, 2, 1), n=6, t=3)[3 - 1] == 0
 
     def test_absent_non_root_is_a_leaf(self):
-        assert degree_from_sequence((2, 2, 1), 5, n=6, t=3) == 1
-
-    def test_rejects_vertex_out_of_range(self):
-        with pytest.raises(ValueError):
-            degree_from_sequence((1,), 3, n=2, t=1)
+        assert _codeword_degrees((2, 2, 1), n=6, t=3)[5 - 1] == 1
 
     def test_matches_decoded_degrees_exhaustively(self):
         pairs = [(n, t) for n in range(2, 7) for t in range(1, n)] + [(7, 3)]
@@ -164,8 +168,7 @@ class TestDegreeFormula:
             for edges in all_forests(n, t):
                 codeword = encode(RootedForest(n=n, t=t, edges=edges))
                 degrees = forest_degrees(n, edges)
-                for v in range(1, n + 1):
-                    assert degree_from_sequence(codeword, v, n, t) == degrees[v - 1]
+                assert _codeword_degrees(codeword, n, t) == list(degrees)
 
 
 class TestCounting:
@@ -240,7 +243,7 @@ class TestSampling:
             codeword = tuple(body) + (last,)
             forest = decode(codeword, n, t)
             forest.validate()
-            assert encode(forest).entries == codeword
+            assert encode(forest) == codeword
 
 
 class TestDeskScaleMaxDegree:

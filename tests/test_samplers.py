@@ -19,18 +19,24 @@ from degreelab.graphs import (
     peeled_core,
     two_core,
 )
-from degreelab.pruefer import RootedForest, decode
+from degreelab.pruefer import RootedForest, decode, sample_uniform_forest
 from degreelab.rng import derive_rng
 from degreelab.samplers import (
     RejectionLimitError,
     build_complex_part,
+    complex_part_arrays,
     complex_part_from_forest,
     sample_gnm,
     sample_gnm_arrays,
     sample_noncomplex,
 )
 
-from oracles import ReplayRng, has_complex_component, unique_rejection_loop
+from oracles import (
+    ReplayRng,
+    forest_degrees,
+    has_complex_component,
+    unique_rejection_loop,
+)
 
 TRIANGLE = SimpleGraph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
 BOWTIE = SimpleGraph.from_edges(5, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)])
@@ -264,6 +270,18 @@ class TestComplexPart:
         assert graph == expected
         assert graph.size == 9
 
+    def test_draws_match_grafting_a_sampled_forest(self):
+        # One uniform codeword per complex part, drawn as sample_uniform_forest
+        # draws it; the arrays list the core's edges first.
+        for i in range(20):
+            us, vs = complex_part_arrays(BOWTIE, 30, derive_rng(43, i))
+            forest = sample_uniform_forest(30, 5, derive_rng(43, i))
+            graph = build_complex_part(BOWTIE, 30, derive_rng(43, i))
+            assert set(zip(us[:6].tolist(), vs[:6].tolist())) == BOWTIE.edges
+            assert graph == SimpleGraph.from_arrays(30, us, vs)
+            assert graph == complex_part_from_forest(BOWTIE, forest)
+            assert graph.edges == BOWTIE.edges | forest.edges
+
     def test_single_extra_vertex_attaches_to_some_root(self):
         seen = set()
         for i in range(40):
@@ -293,13 +311,11 @@ class TestComplexPart:
         for i in range(20):
             graph = build_complex_part(BOWTIE, 60, derive_rng(39, i))
             forest_edges = graph.edges - BOWTIE.edges
-            forest = RootedForest(n=60, t=5, edges=forest_edges)
-            forest.validate()
+            RootedForest(n=60, t=5, edges=forest_edges).validate()
+            degrees = forest_degrees(60, forest_edges)
             for v in BOWTIE.vertices:
-                assert graph.degree(v) == BOWTIE.degree(v) + forest.degree(v)
-            assert max_degree(graph) <= max_degree(BOWTIE) + max(
-                forest.degree(v) for v in range(1, 61)
-            )
+                assert graph.degree(v) == BOWTIE.degree(v) + degrees[v - 1]
+            assert max_degree(graph) <= max_degree(BOWTIE) + max(degrees)
 
     def test_peeling_recovers_any_core(self):
         for core in (TRIANGLE, BOWTIE):
