@@ -32,13 +32,7 @@ from degreelab.graphs import (
     max_degree,
     read_edge_list,
 )
-from degreelab.pruefer import (
-    decode_arrays,
-    encode,
-    sample_codeword,
-    sample_forest_degrees,
-    sample_uniform_forest,
-)
+from degreelab.pruefer import decode, sample_codeword, sample_forest_degrees
 from degreelab.rng import derive_rng
 from degreelab.samplers import build_complex_part, sample_gnm, sample_noncomplex
 
@@ -162,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_nu(args: argparse.Namespace) -> int:
     if args.interval:
         if args.m is None or args.eps is None:
-            raise SystemExit("nu --interval needs --m and --eps")
+            raise ValueError("nu --interval needs --m and --eps")
         interval = conc.predicted_interval_sparse(args.n, args.m, args.eps, args.tol)
         print(
             json.dumps(
@@ -178,7 +172,7 @@ def _cmd_nu(args: argparse.Namespace) -> int:
         print(repr(conc.balanced_concentration(args.n, args.tol)))
         return 0
     if args.k is None:
-        raise SystemExit("nu needs --k (or --hat / --interval)")
+        raise ValueError("nu needs --k (or --hat / --interval)")
     print(repr(conc.concentration_point(args.n, args.k, args.tol)))
     return 0
 
@@ -203,13 +197,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             degrees = sample_forest_degrees(args.n, args.t, rng).tolist()
             print(json.dumps({"n": args.n, "t": args.t, "degrees": degrees}))
             return 0
+        codeword = sample_codeword(args.n, args.t, rng)
         if args.emit == "pruefer":
-            forest = sample_uniform_forest(args.n, args.t, rng)
-            print(json.dumps({"n": args.n, "t": args.t, "sequence": encode(forest)}))
+            print(json.dumps({"n": args.n, "t": args.t, "sequence": codeword.tolist()}))
         else:
-            codeword = sample_codeword(args.n, args.t, rng)
-            lo, hi = decode_arrays(codeword, args.n, args.t)
-            sys.stdout.write(format_edge_list(SimpleGraph.from_arrays(args.n, lo, hi)))
+            sys.stdout.write(format_edge_list(decode(codeword, args.n, args.t)))
         return 0
     if args.structure in ("gnm", "noncomplex"):
         sampler = sample_gnm if args.structure == "gnm" else sample_noncomplex
@@ -280,11 +272,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "nu":
-        return _cmd_nu(args)
-    if args.command == "sample":
-        return _cmd_sample(args)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("nu", "sample"):
+        # A value the library refuses is bad input: a usage error, exit 2.
+        try:
+            return _cmd_nu(args) if args.command == "nu" else _cmd_sample(args)
+        except ValueError as exc:
+            parser.error(str(exc))
     if args.command == "decompose":
         return _cmd_decompose(args)
     if args.command == "enumerate":

@@ -7,55 +7,42 @@ delete the leaf with the largest label and record its unique neighbour.  The
 vertex degrees can be read off a codeword directly (occurrence count, plus
 one for non-roots), which makes uniform sampling of forests — or of just
 their degree sequences — a balls-into-bins experiment.
+
+A forest is a ``SimpleGraph`` on [n] with the root count t passed beside it;
+``validate_forest`` checks that the pair lies in F(n, t).
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from degreelab.graphs import SimpleGraph, _distinct, component_stats
-
-Edge = tuple[int, int]
+from degreelab.graphs import SimpleGraph, _distinct, _edge_arrays, component_stats
 
 
-@dataclass(frozen=True)
-class RootedForest:
-    """Forest on [n] whose roots 1..t lie in pairwise distinct components.
+def validate_forest(forest: SimpleGraph, t: int) -> None:
+    """Check that a graph lies in F(n, t), with n = v(forest).
 
-    Construction checks the edges as ``SimpleGraph`` does (no loops, labels
-    in [1, n], no edge twice), stores them with the smaller endpoint first,
-    and checks that there are exactly n - t.  ``validate`` checks the rest:
-    acyclic, one root per component.
+    The vertex set must be [1, n] exactly, with 1 <= t <= n; the n - t edges
+    must close no cycle, and the roots 1..t must lie in distinct components.
     """
-
-    n: int
-    t: int
-    edges: frozenset[Edge]
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.t <= self.n:
-            raise ValueError(f"need 1 <= t <= n, got t={self.t}, n={self.n}")
-        edges = SimpleGraph.from_edges(self.n, self.edges).edges
-        object.__setattr__(self, "edges", edges)
-        if len(self.edges) != self.n - self.t:
-            raise ValueError(
-                f"a forest in F({self.n}, {self.t}) must have {self.n - self.t} "
-                f"edges, got {len(self.edges)}"
-            )
-
-    def validate(self) -> None:
-        """Check acyclicity and the one-root-per-component placement."""
-        pairs = np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2)
-        labels, vertex_counts, _ = component_stats(self.n, pairs[:, 0], pairs[:, 1])
-        # n - t edges leave exactly t components iff they close no cycle.
-        if vertex_counts.size != self.t:
-            raise ValueError("the edges close a cycle")
-        if _distinct(labels[: self.t]).size != self.t:
-            raise ValueError("two roots share a component")
+    n = forest.order
+    if not 1 <= t <= n:
+        raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
+    if forest.vertices != tuple(range(1, n + 1)):
+        raise ValueError("a forest must occupy the vertex set [1, n] exactly")
+    if forest.size != n - t:
+        raise ValueError(
+            f"a forest in F({n}, {t}) must have {n - t} edges, got {forest.size}"
+        )
+    labels, vertex_counts, _ = component_stats(n, *_edge_arrays(forest))
+    # n - t edges leave exactly t components iff they close no cycle.
+    if vertex_counts.size != t:
+        raise ValueError("the edges close a cycle")
+    if _distinct(labels[:t]).size != t:
+        raise ValueError("two roots share a component")
 
 
 def _require_codable(n: int, t: int) -> None:
@@ -68,17 +55,17 @@ def _require_codable(n: int, t: int) -> None:
         )
 
 
-def encode(forest: RootedForest) -> tuple[int, ...]:
-    """Codeword of a rooted forest.
+def encode(forest: SimpleGraph, t: int) -> tuple[int, ...]:
+    """Codeword of a forest in F(n, t), with n = v(forest).
 
     Repeatedly removes the leaf with the largest label and records its unique
     neighbour.  Roots are never removed: the removed leaves are exactly the
     non-root vertices, each once, and the final recorded neighbour is a root.
-    Raises ValueError if the forest invariants do not hold.
+    Raises ValueError unless ``validate_forest(forest, t)`` passes.
     """
-    n, t = forest.n, forest.t
+    n = forest.order
     _require_codable(n, t)
-    forest.validate()
+    validate_forest(forest, t)
 
     adjacency: list[set[int]] = [set() for _ in range(n + 1)]
     for u, v in forest.edges:
@@ -168,10 +155,9 @@ def decode_arrays(
     return np.minimum(entries, others), np.maximum(entries, others)
 
 
-def decode(sequence: Sequence[int] | np.ndarray, n: int, t: int) -> RootedForest:
-    """Rooted forest encoded by a codeword; inverse of ``encode``."""
-    lo, hi = decode_arrays(sequence, n, t)
-    return RootedForest(n=n, t=t, edges=frozenset(zip(lo.tolist(), hi.tolist())))
+def decode(sequence: Sequence[int] | np.ndarray, n: int, t: int) -> SimpleGraph:
+    """Forest in F(n, t) encoded by a codeword; inverse of ``encode``."""
+    return SimpleGraph.from_arrays(n, *decode_arrays(sequence, n, t))
 
 
 def count_forests(n: int, t: int) -> int:
@@ -193,7 +179,7 @@ def sample_codeword(n: int, t: int, rng: np.random.Generator) -> np.ndarray:
     return np.append(body, last)
 
 
-def sample_uniform_forest(n: int, t: int, rng: np.random.Generator) -> RootedForest:
+def sample_uniform_forest(n: int, t: int, rng: np.random.Generator) -> SimpleGraph:
     """Uniform sample from F(n, t) via a uniform codeword."""
     return decode(sample_codeword(n, t, rng), n, t)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from degreelab.graphs import SimpleGraph, _edge_arrays, has_complex_component
-from degreelab.pruefer import RootedForest, decode_arrays, sample_codeword
+from degreelab.pruefer import decode_arrays, sample_codeword, validate_forest
 
 REJECT_LOOP = "loop"
 REJECT_PARALLEL = "parallel_edge"
@@ -168,21 +168,17 @@ def complex_part_arrays(
     return _graft(core, *decode_arrays(sample_codeword(q, v, rng), q, v))
 
 
-def complex_part_from_forest(core: SimpleGraph, forest: RootedForest) -> SimpleGraph:
+def complex_part_from_forest(core: SimpleGraph, forest: SimpleGraph) -> SimpleGraph:
     """Graph obtained by replacing core vertex r by the forest tree rooted at r.
 
-    The result lives on [forest.n] and has edge set E(core) | E(forest); the
-    degree of a core vertex is its core degree plus its forest degree, and
-    other vertices keep their forest degree.
+    ``forest`` must lie in F(n, v(core)).  The result lives on [n] and has
+    edge set E(core) | E(forest); the degree of a core vertex is its core
+    degree plus its forest degree, and other vertices keep their forest
+    degree.
     """
     validate_core(core)
-    if forest.t != core.order:
-        raise ValueError(
-            f"forest must have one root per core vertex: t={forest.t}, "
-            f"v(core)={core.order}"
-        )
-    pairs = np.array(sorted(forest.edges), dtype=np.int64).reshape(-1, 2)
-    return SimpleGraph.from_arrays(forest.n, *_graft(core, pairs[:, 0], pairs[:, 1]))
+    validate_forest(forest, core.order)
+    return SimpleGraph.from_arrays(forest.order, *_graft(core, *_edge_arrays(forest)))
 
 
 def build_complex_part(

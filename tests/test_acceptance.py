@@ -31,8 +31,9 @@ from degreelab.concentration import (
     load_exponent,
 )
 from degreelab.dense_ops import classify_all_graphs, sweep_ratio_bounds
+from degreelab.graphs import SimpleGraph
 from degreelab.harness import ExperimentConfig, run_experiment
-from degreelab.pruefer import RootedForest, count_forests, decode, encode
+from degreelab.pruefer import count_forests, decode, encode
 from degreelab.samplers import RejectionLimitError, sample_gnm_arrays
 
 from oracles import (
@@ -137,10 +138,10 @@ def test_criterion_01_codec_exactness():
     n <= 7, in under ten seconds."""
     start = time.perf_counter()
 
-    forest = RootedForest(
-        n=9, t=3, edges=frozenset({(1, 5), (2, 8), (4, 8), (8, 9), (4, 7), (6, 9)})
+    forest = SimpleGraph.from_edges(
+        9, [(1, 5), (2, 8), (4, 8), (8, 9), (4, 7), (6, 9)]
     )
-    codeword = encode(forest)
+    codeword = encode(forest, 3)
     assert codeword == (4, 9, 8, 1, 8, 2)
     assert decode(codeword, 9, 3).edges == forest.edges
 
@@ -152,7 +153,7 @@ def test_criterion_01_codec_exactness():
                 for last in range(1, t + 1):
                     entries = body + (last,)
                     forest = decode(entries, n, t)
-                    assert encode(forest) == entries
+                    assert encode(forest, t) == entries
                     decoded.add(forest.edges)
                     checked += 1
             # distinct decodes exhaust the counting formula, so the map is a

@@ -15,6 +15,7 @@ from degreelab.concentration import (
 )
 from degreelab.graphs import parse_edge_list
 from degreelab.harness import ExperimentConfig, run_experiment
+from degreelab.samplers import RejectionLimitError
 
 
 def run_cli(capsys, *argv):
@@ -197,6 +198,87 @@ class TestEdgeListFiles:
         assert captured.out == ""
         prefix = re.escape(f"argument {command[-1]}: {path}: ")
         assert re.search(prefix + ".*" + message, captured.err)
+
+
+class TestRefusedValues:
+    """A value that ``nu`` or ``sample`` passes on and the library refuses is
+    a usage error that keeps the library's message."""
+
+    @pytest.mark.parametrize(
+        "argv,core,message",
+        [
+            (
+                ["sample", "gnm", "--n", "5", "--m", "100"],
+                None,
+                "m must lie in [0, n(n-1)/2], got 100",
+            ),
+            (
+                ["sample", "forest", "--n", "5", "--t", "5"],
+                None,
+                "the forest codec needs n >= t + 1",
+            ),
+            (
+                ["sample", "complex-part", "--q", "10"],
+                "3 2\n1 2\n2 3\n",
+                "every core vertex must have degree at least two",
+            ),
+            (
+                ["sample", "complex-part", "--q", "3"],
+                "3 3\n1 2\n2 3\n1 3\n",
+                "q must be at least v(core) + 1 = 4, got 3",
+            ),
+            (
+                ["sample", "bins", "--n", "0", "--k", "3"],
+                None,
+                "n_bins must be a positive integer, got 0",
+            ),
+            (
+                ["sample", "gnm", "--n", "10", "--m", "5", "--max-attempts", "0"],
+                None,
+                "max_attempts must be a positive integer, got 0",
+            ),
+            (
+                ["nu", "--n", "0", "--k", "3"],
+                None,
+                "n_bins must be a positive integer, got 0",
+            ),
+            (
+                ["nu", "--n", "10", "--interval", "--m", "0", "--eps", "0.3"],
+                None,
+                "m must be a positive integer, got 0",
+            ),
+            (
+                ["nu", "--n", "10", "--k", "10", "--tol", "0"],
+                None,
+                "tol must be positive, got 0.0",
+            ),
+            (["nu", "--n", "10"], None, "nu needs --k (or --hat / --interval)"),
+            (
+                ["nu", "--n", "10", "--interval", "--m", "5"],
+                None,
+                "nu --interval needs --m and --eps",
+            ),
+        ],
+    )
+    def test_is_a_usage_error(self, capsys, tmp_path, argv, core, message):
+        if argv[0] == "sample":
+            argv = [*argv, "--seed", "1"]
+        if core is not None:
+            path = tmp_path / "core.txt"
+            path.write_text(core)
+            argv = [*argv, "--core", str(path)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+
+    def test_exhausted_attempts_are_not_a_usage_error(self):
+        # A sampling outcome, not bad input: it propagates and exits 1.
+        argv = ["sample", "gnm", "--n", "10", "--m", "40", "--seed", "1"]
+        with pytest.raises(RejectionLimitError):
+            main([*argv, "--max-attempts", "1"])
 
 
 class TestEnumerateCommand:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degreelab.graphs import (
     PlanarityLimitError,
@@ -26,7 +30,7 @@ from degreelab.graphs import (
     planarity_table,
     two_core,
 )
-from degreelab.pruefer import RootedForest, decode_arrays, sample_codeword
+from degreelab.pruefer import decode_arrays, sample_codeword, validate_forest
 from degreelab.samplers import sample_gnm_arrays
 
 from oracles import (
@@ -45,6 +49,26 @@ BOWTIE = [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)]  # two triangles at 1
 def graph_from_mask(n: int, mask: int) -> SimpleGraph:
     all_edges = complete_graph_edges(n)
     edges = [all_edges[i] for i in range(len(all_edges)) if mask >> i & 1]
+    return SimpleGraph.from_edges(n, edges)
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on [n], n <= 40, with a random edge subset.
+
+    [n] is shuffled and cut into up to five blocks, and each block of s
+    vertices gets a random subset of at most 2s of its own pairs, so that
+    several complex components, and so a nonempty small part, are common.
+    """
+    n = draw(st.integers(1, 40))
+    labels = draw(st.permutations(range(1, n + 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=4))) if n > 1 else []
+    edges: set[tuple[int, int]] = set()
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        pairs = list(combinations(labels[lo:hi], 2))
+        m = draw(st.integers(0, min(2 * (hi - lo), len(pairs))))
+        if m:
+            edges |= draw(st.sets(st.sampled_from(pairs), min_size=m, max_size=m))
     return SimpleGraph.from_edges(n, edges)
 
 
@@ -271,6 +295,20 @@ class TestDecompose:
                 parts.big_complex.vertices
             ) | set(parts.small_complex.vertices)
 
+    @settings(deadline=None)
+    @given(graph=small_graphs())
+    def test_partition_invariants_match_dict_oracle(self, graph):
+        parts = decompose(graph)
+        big = set(parts.big_complex.vertices)
+        small = set(parts.small_complex.vertices)
+        rest = set(parts.non_complex.vertices)
+        assert not (big & small or big & rest or small & rest)
+        assert big | small | rest == set(graph.vertices)
+        core = set(parts.core.vertices)
+        assert core <= big | small
+        assert all(parts.core.degree(v) >= 2 for v in core)
+        assert dict_decompose(graph.vertices, graph.edges) == (core, big, small, rest)
+
     def test_invariants_on_near_critical_samples(self):
         # The exhaustive checks stop at six vertices; repeat the structural
         # invariants on uniform samples near half density at n = 1000.
@@ -436,7 +474,7 @@ class TestArrayKernels:
                 60, 40, rng, require_noncomplex=noncomplex
             )
             peel(60, us, vs)
-        RootedForest(n=4, t=2, edges=frozenset({(1, 3), (2, 4)})).validate()
+        validate_forest(SimpleGraph.from_edges(4, [(1, 3), (2, 4)]), 2)
 
     def test_bare_cycle_is_peeled_but_not_core(self):
         n, us, vs = 5, np.array([1, 2, 3, 4, 1]), np.array([2, 3, 4, 5, 5])

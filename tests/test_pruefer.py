@@ -4,20 +4,23 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degreelab.concentration import balanced_concentration
+from degreelab.graphs import SimpleGraph, degree_sequence
 from degreelab.pruefer import (
-    RootedForest,
     count_forests,
     decode,
     decode_arrays,
     encode,
     sample_forest_degrees,
     sample_uniform_forest,
+    validate_forest,
 )
 from degreelab.rng import derive_rng
 
@@ -27,6 +30,7 @@ from oracles import (
     forest_degree_law,
     forest_degrees,
     heap_decode,
+    is_rooted_forest,
     loads_plus_roots_law,
     naive_largest_leaf_peeling,
 )
@@ -38,45 +42,56 @@ EXAMPLE_CODEWORD = (4, 9, 8, 1, 8, 2)
 
 class TestEncode:
     def test_worked_example(self):
-        forest = RootedForest(n=9, t=3, edges=EXAMPLE_EDGES)
-        assert encode(forest) == EXAMPLE_CODEWORD
+        forest = SimpleGraph.from_edges(9, EXAMPLE_EDGES)
+        assert encode(forest, 3) == EXAMPLE_CODEWORD
 
     def test_single_edge(self):
-        forest = RootedForest(n=2, t=1, edges=frozenset({(1, 2)}))
-        assert encode(forest) == (1,)
+        forest = SimpleGraph.from_edges(2, [(1, 2)])
+        assert encode(forest, 1) == (1,)
 
     def test_one_extra_vertex_records_its_root(self):
         for t in (1, 2, 3):
             for root in range(1, t + 1):
-                forest = RootedForest(
-                    n=t + 1, t=t, edges=frozenset({(root, t + 1)})
-                )
-                assert encode(forest) == (root,)
+                forest = SimpleGraph.from_edges(t + 1, [(root, t + 1)])
+                assert encode(forest, t) == (root,)
 
     def test_rejects_n_equal_t(self):
-        forest = RootedForest(n=3, t=3, edges=frozenset())
+        forest = SimpleGraph.from_edges(3)
         with pytest.raises(ValueError):
-            encode(forest)
+            encode(forest, 3)
 
     def test_rejects_cycle(self):
-        with pytest.raises(ValueError):
-            RootedForest(n=4, t=1, edges=frozenset({(1, 2), (2, 3), (1, 3)})).validate()
+        with pytest.raises(ValueError, match="the edges close a cycle"):
+            validate_forest(SimpleGraph.from_edges(4, [(1, 2), (2, 3), (1, 3)]), 1)
 
     def test_rejects_roots_in_same_component(self):
-        forest = RootedForest(n=4, t=2, edges=frozenset({(1, 2), (3, 4)}))
-        with pytest.raises(ValueError):
-            encode(forest)
+        forest = SimpleGraph.from_edges(4, [(1, 2), (3, 4)])
+        with pytest.raises(ValueError, match="two roots share a component"):
+            encode(forest, 2)
 
-    def test_wrong_edge_count_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            RootedForest(n=4, t=2, edges=frozenset({(1, 3)}))
+    def test_wrong_edge_count_rejected(self):
+        with pytest.raises(ValueError, match="must have 2 edges, got 1"):
+            validate_forest(SimpleGraph.from_edges(4, [(1, 3)]), 2)
+
+    @pytest.mark.parametrize(
+        "vertices,t,message",
+        [
+            ((1, 2, 4), 2, "vertex set \\[1, n\\] exactly"),
+            ((1, 2, 3), 0, "need 1 <= t <= n, got t=0, n=3"),
+            ((1, 2, 3), 4, "need 1 <= t <= n, got t=4, n=3"),
+        ],
+    )
+    def test_rejects_vertex_set_and_root_count(self, vertices, t, message):
+        forest = SimpleGraph(vertices=vertices, edges=frozenset())
+        with pytest.raises(ValueError, match=message):
+            validate_forest(forest, t)
 
     def test_matches_naive_peeling_oracle(self):
         for n, t in ((4, 1), (4, 2), (5, 2), (5, 3), (6, 1)):
             for edges in all_forests(n, t):
                 recorded, removed = naive_largest_leaf_peeling(n, t, edges)
-                forest = RootedForest(n=n, t=t, edges=edges)
-                assert encode(forest) == tuple(recorded)
+                forest = SimpleGraph.from_edges(n, edges)
+                assert encode(forest, t) == tuple(recorded)
                 # removed leaves are exactly the non-roots, each exactly once
                 assert sorted(removed) == list(range(t + 1, n + 1))
 
@@ -109,8 +124,8 @@ class TestDecode:
                     for last in range(1, t + 1):
                         codeword = body + (last,)
                         forest = decode(codeword, n, t)
-                        forest.validate()
-                        assert encode(forest) == codeword
+                        validate_forest(forest, t)
+                        assert encode(forest, t) == codeword
                         forests.add(forest.edges)
                 assert len(forests) == count_forests(n, t)
 
@@ -140,8 +155,48 @@ class TestDecode:
     def test_roundtrip_all_forests_small(self):
         for n, t in ((4, 2), (5, 1), (5, 2), (5, 4), (6, 3)):
             for edges in all_forests(n, t):
-                forest = RootedForest(n=n, t=t, edges=edges)
-                assert decode(encode(forest), n, t).edges == edges
+                forest = SimpleGraph.from_edges(n, edges)
+                assert decode(encode(forest, t), n, t).edges == edges
+
+
+@st.composite
+def codewords(draw, min_n: int = 2):
+    """(n, t, codeword) with n <= 60, 1 <= t < n and any valid codeword."""
+    n = draw(st.integers(min_n, 60))
+    t = draw(st.integers(1, n - 1))
+    body = draw(st.lists(st.integers(1, n), min_size=n - t - 1, max_size=n - t - 1))
+    return n, t, (*body, draw(st.integers(1, t)))
+
+
+class TestCodecProperties:
+    @settings(deadline=None)
+    @given(drawn=codewords())
+    def test_decode_is_a_valid_forest_that_encodes_back(self, drawn):
+        n, t, codeword = drawn
+        forest = decode(codeword, n, t)
+        validate_forest(forest, t)
+        assert encode(forest, t) == codeword
+        counts = Counter(codeword)
+        expected = tuple(counts[v] + (v > t) for v in range(1, n + 1))
+        assert degree_sequence(forest) == expected
+
+    @settings(deadline=None)
+    @given(drawn=codewords(min_n=3), data=st.data())
+    def test_edge_swap_is_refused_exactly_off_the_forests(self, drawn, data):
+        # Replace one edge of a decoded forest with an absent edge: the
+        # result is still in F(n, t) or not, as the union-find oracle says.
+        n, t, codeword = drawn
+        edges = decode(codeword, n, t).edges
+        absent = sorted(set(combinations(range(1, n + 1), 2)) - edges)
+        dropped = data.draw(st.sampled_from(sorted(edges)))
+        added = data.draw(st.sampled_from(absent))
+        swapped = (edges - {dropped}) | {added}
+        forest = SimpleGraph.from_edges(n, swapped)
+        if is_rooted_forest(n, t, swapped):
+            validate_forest(forest, t)
+        else:
+            with pytest.raises(ValueError):
+                validate_forest(forest, t)
 
 
 def _codeword_degrees(codeword, n, t) -> list[int]:
@@ -166,7 +221,7 @@ class TestDegreeFormula:
         pairs = [(n, t) for n in range(2, 7) for t in range(1, n)] + [(7, 3)]
         for n, t in pairs:
             for edges in all_forests(n, t):
-                codeword = encode(RootedForest(n=n, t=t, edges=edges))
+                codeword = encode(SimpleGraph.from_edges(n, edges), t)
                 degrees = forest_degrees(n, edges)
                 assert _codeword_degrees(codeword, n, t) == list(degrees)
 
@@ -242,8 +297,8 @@ class TestSampling:
             last = int(rng.integers(1, t + 1))
             codeword = tuple(body) + (last,)
             forest = decode(codeword, n, t)
-            forest.validate()
-            assert encode(forest) == codeword
+            validate_forest(forest, t)
+            assert encode(forest, t) == codeword
 
 
 class TestDeskScaleMaxDegree:

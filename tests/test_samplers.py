@@ -19,7 +19,7 @@ from degreelab.graphs import (
     peeled_core,
     two_core,
 )
-from degreelab.pruefer import RootedForest, decode, sample_uniform_forest
+from degreelab.pruefer import decode, sample_uniform_forest, validate_forest
 from degreelab.rng import derive_rng
 from degreelab.samplers import (
     RejectionLimitError,
@@ -270,6 +270,24 @@ class TestComplexPart:
         assert graph == expected
         assert graph.size == 9
 
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            pytest.param([(4, 5), (5, 6), (4, 6)], "the edges close a cycle", id="cycle"),
+            pytest.param(
+                [(1, 4), (2, 4), (5, 6)], "two roots share a component", id="shared-tree"
+            ),
+            # A forest in F(6, 4): one root more than the triangle has vertices.
+            pytest.param(
+                [(1, 5), (2, 6)], "F\\(6, 3\\) must have 3 edges, got 2", id="four-roots"
+            ),
+        ],
+    )
+    def test_refuses_a_graph_outside_the_forests(self, edges, message):
+        forest = SimpleGraph.from_edges(6, edges)
+        with pytest.raises(ValueError, match=message):
+            complex_part_from_forest(TRIANGLE, forest)
+
     def test_draws_match_grafting_a_sampled_forest(self):
         # One uniform codeword per complex part, drawn as sample_uniform_forest
         # draws it; the arrays list the core's edges first.
@@ -311,7 +329,7 @@ class TestComplexPart:
         for i in range(20):
             graph = build_complex_part(BOWTIE, 60, derive_rng(39, i))
             forest_edges = graph.edges - BOWTIE.edges
-            RootedForest(n=60, t=5, edges=forest_edges).validate()
+            validate_forest(SimpleGraph.from_edges(60, forest_edges), 5)
             degrees = forest_degrees(60, forest_edges)
             for v in BOWTIE.vertices:
                 assert graph.degree(v) == BOWTIE.degree(v) + degrees[v - 1]
