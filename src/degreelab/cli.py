@@ -83,6 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_nu.add_argument("--m", type=int, help="edge count (with --interval)")
     p_nu.add_argument("--eps", type=float, help="window half-width (with --interval)")
     p_nu.add_argument("--tol", type=float, default=conc.DEFAULT_TOL)
+    p_nu.set_defaults(handler=_cmd_nu, parser=p_nu)
 
     p_sample = sub.add_parser("sample", help="draw one random structure")
     sample_sub = p_sample.add_subparsers(dest="structure", required=True)
@@ -92,6 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bins.add_argument("--k", type=int, required=True)
     p_bins.add_argument("--seed", type=int, required=True)
     p_bins.add_argument("--emit", choices=("loads", "max"), default="loads")
+    p_bins.set_defaults(handler=_cmd_bins, parser=p_bins)
 
     p_forest = sample_sub.add_parser("forest", help="uniform rooted forest")
     p_forest.add_argument("--n", type=int, required=True)
@@ -100,10 +102,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_forest.add_argument(
         "--emit", choices=("edges", "pruefer", "degrees"), default="edges"
     )
+    p_forest.set_defaults(handler=_cmd_forest, parser=p_forest)
 
-    for name, help_text in (
-        ("gnm", "uniform simple graph"),
-        ("noncomplex", "uniform graph without complex components"),
+    for name, help_text, sampler in (
+        ("gnm", "uniform simple graph", sample_gnm),
+        ("noncomplex", "uniform graph without complex components", sample_noncomplex),
     ):
         p_g = sample_sub.add_parser(name, help=help_text)
         p_g.add_argument("--n", type=int, required=True)
@@ -113,6 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p_g.add_argument(
             "--report", action="store_true", help="append the rejection report as JSON"
         )
+        p_g.set_defaults(handler=_cmd_graph, parser=p_g, sampler=sampler)
 
     p_cp = sample_sub.add_parser("complex-part", help="uniform complex part over a core")
     p_cp.add_argument(
@@ -120,6 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_cp.add_argument("--q", type=int, required=True)
     p_cp.add_argument("--seed", type=int, required=True)
+    p_cp.set_defaults(handler=_cmd_complex_part, parser=p_cp)
 
     p_dec = sub.add_parser("decompose", help="core / complex parts / rest of a graph")
     p_dec.add_argument(
@@ -130,12 +135,14 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="edge-list file",
     )
+    p_dec.set_defaults(handler=_cmd_decompose, parser=p_dec)
 
     p_enum = sub.add_parser("enumerate", help="exhaustive class enumeration")
     enum_sub = p_enum.add_subparsers(dest="what", required=True)
     p_ratio = enum_sub.add_parser("dense-ratio", help="degree-raising ratio sweep")
     p_ratio.add_argument("--n", type=_enumeration_order, required=True)
     p_ratio.add_argument("--planar", action="store_true", help="restrict to planar graphs")
+    p_ratio.set_defaults(handler=_cmd_enumerate, parser=p_ratio)
 
     p_exp = sub.add_parser("experiment", help="Monte Carlo campaigns")
     exp_sub = p_exp.add_subparsers(dest="action", required=True)
@@ -149,6 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="write records to this path")
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
     p_run.add_argument("--jobs", type=int, help="parallel workers (default: env or 1)")
+    p_run.set_defaults(handler=_cmd_experiment, parser=p_run)
 
     return parser
 
@@ -177,53 +185,53 @@ def _cmd_nu(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
+def _cmd_bins(args: argparse.Namespace) -> int:
     rng = derive_rng(args.seed, 0)
-    if args.structure == "bins":
-        location = sample_locations(args.n, args.k, rng)
-        load_vector = bin_loads(location)
-        if args.emit == "max":
-            payload = {"n_bins": args.n, "k": args.k, "max_load": max_load(load_vector)}
-        else:
-            payload = {
-                "n_bins": args.n,
-                "k": args.k,
-                "loads": load_vector.loads.tolist(),
-            }
-        print(json.dumps(payload))
+    counts = bin_loads(sample_locations(args.n, args.k, rng), args.n)
+    if args.emit == "max":
+        payload = {"n_bins": args.n, "k": args.k, "max_load": max_load(counts)}
+    else:
+        payload = {"n_bins": args.n, "k": args.k, "loads": counts.tolist()}
+    print(json.dumps(payload))
+    return 0
+
+
+def _cmd_forest(args: argparse.Namespace) -> int:
+    rng = derive_rng(args.seed, 0)
+    if args.emit == "degrees":
+        degrees = sample_forest_degrees(args.n, args.t, rng).tolist()
+        print(json.dumps({"n": args.n, "t": args.t, "degrees": degrees}))
         return 0
-    if args.structure == "forest":
-        if args.emit == "degrees":
-            degrees = sample_forest_degrees(args.n, args.t, rng).tolist()
-            print(json.dumps({"n": args.n, "t": args.t, "degrees": degrees}))
-            return 0
-        codeword = sample_codeword(args.n, args.t, rng)
-        if args.emit == "pruefer":
-            print(json.dumps({"n": args.n, "t": args.t, "sequence": codeword.tolist()}))
-        else:
-            sys.stdout.write(format_edge_list(decode(codeword, args.n, args.t)))
-        return 0
-    if args.structure in ("gnm", "noncomplex"):
-        sampler = sample_gnm if args.structure == "gnm" else sample_noncomplex
-        graph, report = sampler(args.n, args.m, rng, args.max_attempts)
-        sys.stdout.write(format_edge_list(graph))
-        if args.report:
-            print(
-                json.dumps(
-                    {
-                        "attempts": report.attempts,
-                        "accepted": report.accepted,
-                        "reject_reasons": report.reject_reasons,
-                    },
-                    sort_keys=True,
-                )
+    codeword = sample_codeword(args.n, args.t, rng)
+    if args.emit == "pruefer":
+        print(json.dumps({"n": args.n, "t": args.t, "sequence": codeword.tolist()}))
+    else:
+        sys.stdout.write(format_edge_list(decode(codeword, args.n, args.t)))
+    return 0
+
+
+def _cmd_graph(args: argparse.Namespace) -> int:
+    rng = derive_rng(args.seed, 0)
+    graph, report = args.sampler(args.n, args.m, rng, args.max_attempts)
+    sys.stdout.write(format_edge_list(graph))
+    if args.report:
+        print(
+            json.dumps(
+                {
+                    "attempts": report.attempts,
+                    "accepted": report.accepted,
+                    "reject_reasons": report.reject_reasons,
+                },
+                sort_keys=True,
             )
-        return 0
-    if args.structure == "complex-part":
-        graph = build_complex_part(args.core, args.q, rng)
-        sys.stdout.write(format_edge_list(graph))
-        return 0
-    raise SystemExit(f"unknown structure {args.structure!r}")
+        )
+    return 0
+
+
+def _cmd_complex_part(args: argparse.Namespace) -> int:
+    graph = build_complex_part(args.core, args.q, derive_rng(args.seed, 0))
+    sys.stdout.write(format_edge_list(graph))
+    return 0
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
@@ -272,21 +280,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command in ("nu", "sample"):
+    args = _build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except ValueError as exc:
         # A value the library refuses is bad input: a usage error, exit 2.
-        try:
-            return _cmd_nu(args) if args.command == "nu" else _cmd_sample(args)
-        except ValueError as exc:
-            parser.error(str(exc))
-    if args.command == "decompose":
-        return _cmd_decompose(args)
-    if args.command == "enumerate":
-        return _cmd_enumerate(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    raise SystemExit(f"unknown command {args.command!r}")
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -26,15 +26,12 @@ import numpy as np
 
 from degreelab.graphs import (
     ENUMERATION_LIMIT,
+    EnumerationLimitError,
     SimpleGraph,
     complete_graph_edges,
     max_degree,
     planarity_table,
 )
-
-
-class EnumerationLimitError(ValueError):
-    """Raised when an exhaustive enumeration exceeds its documented limit."""
 
 
 @dataclass(frozen=True)

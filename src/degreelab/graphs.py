@@ -13,12 +13,9 @@ graph of minimum degree two with no bare-cycle components.  The decomposition
 splits a graph into the complex component containing the largest core
 component, the remaining complex components, and the non-complex rest.
 
-Planarity is decided exactly for small graphs by searching for a subdivision
-of K5 or K3,3, with Euler-count and sparse-component fast paths.  The search
-is exponential and refuses components above a documented order limit rather
-than guessing.  For every graph on n <= 7 vertices at once, ``planarity_table``
-marks the Kuratowski-subdivision edge masks and closes them upwards over the
-subset lattice, one vectorised pass per edge.
+Planarity is decided for every graph on n <= 7 vertices at once:
+``planarity_table`` marks the Kuratowski-subdivision edge masks and closes
+them upwards over the subset lattice, one vectorised pass per edge.
 """
 
 from __future__ import annotations
@@ -32,15 +29,12 @@ import numpy as np
 
 Edge = tuple[int, int]
 
-#: Components larger than this are refused by the subdivision search.
-PLANARITY_COMPONENT_LIMIT = 12
-
-#: Largest vertex count for the exhaustive all-graphs planarity table.
+#: Largest vertex count for the exhaustive all-graphs sweeps.
 ENUMERATION_LIMIT = 7
 
 
-class PlanarityLimitError(ValueError):
-    """Raised when a planarity query exceeds the documented size limit."""
+class EnumerationLimitError(ValueError):
+    """Raised when an exhaustive sweep exceeds ENUMERATION_LIMIT vertices."""
 
 
 def canonical_edge(u: int, v: int) -> Edge:
@@ -404,105 +398,6 @@ def isolated_counts(graph: SimpleGraph) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Planarity
-# ---------------------------------------------------------------------------
-
-
-def is_planar(
-    graph: SimpleGraph, component_limit: int = PLANARITY_COMPONENT_LIMIT
-) -> bool:
-    """Exact planarity for small graphs via forbidden-subdivision search.
-
-    Fast paths per component: at most one cycle -> planar; more than
-    3v - 6 edges (v >= 3) -> non-planar; fewer than nine edges -> planar
-    (every subdivision of K5 or K3,3 has at least nine edges).  Components
-    that survive the fast paths and exceed ``component_limit`` vertices raise
-    PlanarityLimitError instead of risking a wrong answer.
-    """
-    labels, vertex_counts, edge_counts = component_stats(
-        graph.order, *_edge_arrays(graph)
-    )
-    vertices = np.array(graph.vertices, dtype=np.int64)
-    for c in _component_order(labels, vertex_counts):
-        n_comp, m_comp = int(vertex_counts[c]), int(edge_counts[c])
-        if m_comp <= n_comp:
-            continue
-        if n_comp >= 3 and m_comp > 3 * n_comp - 6:
-            return False
-        if m_comp <= 8:
-            continue
-        if n_comp > component_limit:
-            raise PlanarityLimitError(
-                f"component with {n_comp} vertices exceeds the subdivision-search "
-                f"limit of {component_limit}"
-            )
-        sub = induced_subgraph(graph, vertices[labels == c].tolist())
-        adjacency = {v: set(sub.adjacency[v]) for v in sub.vertices}
-        if _has_k5_subdivision(adjacency) or _has_k33_subdivision(adjacency):
-            return False
-    return True
-
-
-def _has_k5_subdivision(adjacency: dict[int, set[int]]) -> bool:
-    candidates = [v for v, ns in adjacency.items() if len(ns) >= 4]
-    for branch in combinations(candidates, 5):
-        pairs = list(combinations(branch, 2))
-        if _route_disjoint_paths(adjacency, set(branch), pairs):
-            return True
-    return False
-
-
-def _has_k33_subdivision(adjacency: dict[int, set[int]]) -> bool:
-    candidates = [v for v, ns in adjacency.items() if len(ns) >= 3]
-    for six in combinations(candidates, 6):
-        rest = six[1:]
-        for tail in combinations(rest, 2):
-            side_a = (six[0],) + tail
-            side_b = tuple(v for v in rest if v not in tail)
-            pairs = [(a, b) for a in side_a for b in side_b]
-            if _route_disjoint_paths(adjacency, set(six), pairs):
-                return True
-    return False
-
-
-def _route_disjoint_paths(
-    adjacency: dict[int, set[int]],
-    branch: set[int],
-    pairs: list[tuple[int, int]],
-) -> bool:
-    """Route internally-disjoint paths for every pair, branch vertices excluded
-    from path interiors."""
-    used: set[int] = set()
-
-    def route(idx: int) -> bool:
-        if idx == len(pairs):
-            return True
-        a, b = pairs[idx]
-        on_path: set[int] = set()
-        internal: list[int] = []
-
-        def extend(current: int) -> bool:
-            for w in adjacency[current]:
-                if w == b:
-                    used.update(internal)
-                    if route(idx + 1):
-                        return True
-                    used.difference_update(internal)
-                elif w not in branch and w not in used and w not in on_path:
-                    on_path.add(w)
-                    internal.append(w)
-                    if extend(w):
-                        return True
-                    internal.pop()
-                    on_path.discard(w)
-            return False
-
-        return extend(a)
-
-    return route(0)
-
-
-# ---------------------------------------------------------------------------
 # Exhaustive planarity table over all labelled graphs on [n], n <= 7
 # ---------------------------------------------------------------------------
 
@@ -574,7 +469,7 @@ def planarity_table(n: int) -> np.ndarray:
     The table is cached and read-only.
     """
     if not 0 <= n <= ENUMERATION_LIMIT:
-        raise PlanarityLimitError(
+        raise EnumerationLimitError(
             f"the all-graphs planarity table is limited to n <= {ENUMERATION_LIMIT}"
         )
     n_edges = n * (n - 1) // 2

@@ -348,7 +348,8 @@ def _plan_dense_ratio(cfg: ExperimentConfig, n: int | None) -> dict[str, Any]:
 
 
 def _bins_trial(cfg, plan, rng, aux) -> int:
-    return max_load(bin_loads(sample_locations(plan["n"], plan["balls"], rng)))
+    entries = sample_locations(plan["n"], plan["balls"], rng)
+    return max_load(bin_loads(entries, plan["n"]))
 
 
 def _gnm_trial(cfg, plan, rng, aux, require_noncomplex: bool = False) -> int:

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from degreelab.balls_bins import loads as bin_loads
+from degreelab.balls_bins import sample_locations
 from degreelab.graphs import SimpleGraph, _edge_arrays, has_complex_component
 from degreelab.pruefer import decode_arrays, sample_codeword, validate_forest
 
@@ -77,7 +79,7 @@ def sample_gnm_arrays(
     report = RejectionReport()
     while report.attempts < max_attempts:
         report.attempts += 1
-        entries = rng.integers(1, n + 1, size=2 * m, dtype=np.int64)
+        entries = sample_locations(n, 2 * m, rng)
         us = entries[0::2]
         vs = entries[1::2]
         if m:
@@ -96,8 +98,7 @@ def sample_gnm_arrays(
                 report.reject_reasons[REJECT_COMPLEX] += 1
                 continue
         report.accepted = True
-        loads = np.bincount(entries, minlength=n + 1)[1:]
-        return us, vs, loads, report
+        return us, vs, bin_loads(entries, n), report
     raise RejectionLimitError(
         f"no acceptable sample within {max_attempts} attempts "
         f"(n={n}, m={m}, noncomplex={require_noncomplex})",

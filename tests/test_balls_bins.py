@@ -12,7 +12,6 @@ import pytest
 from scipy import stats
 
 from degreelab.balls_bins import (
-    LocationVector,
     expected_bins_with_load,
     loads,
     max_load,
@@ -27,39 +26,52 @@ from oracles import complex_part_max_degree_cdf, forest_degree_law, max_load_cdf
 class TestLocationsAndLoads:
     def test_zero_balls_gives_empty_vector(self):
         rng = np.random.default_rng(0)
-        location = sample_locations(5, 0, rng)
-        assert location.k == 0
-        assert loads(location).loads.tolist() == [0, 0, 0, 0, 0]
+        entries = sample_locations(5, 0, rng)
+        assert entries.shape == (0,)
+        assert loads(entries, 5).tolist() == [0, 0, 0, 0, 0]
 
     def test_single_bin_takes_everything(self):
         rng = np.random.default_rng(0)
-        location = sample_locations(1, 5, rng)
-        assert location.entries.tolist() == [1, 1, 1, 1, 1]
-        assert max_load(loads(location)) == 5
+        entries = sample_locations(1, 5, rng)
+        assert entries.tolist() == [1, 1, 1, 1, 1]
+        assert max_load(loads(entries, 1)) == 5
 
     def test_five_bins_eight_balls_worked_example(self):
-        location = LocationVector(n_bins=5, entries=[5, 3, 5, 1, 2, 5, 2, 3])
-        load_vector = loads(location)
-        assert load_vector.loads.tolist() == [1, 2, 2, 0, 3]
-        assert max_load(load_vector) == 3
+        counts = loads(np.array([5, 3, 5, 1, 2, 5, 2, 3]), 5)
+        assert counts.tolist() == [1, 2, 2, 0, 3]
+        assert counts.dtype == np.int64
+        assert max_load(counts) == 3
 
     def test_distinct_entries_give_zero_one_loads(self):
-        location = LocationVector(n_bins=6, entries=[2, 4, 6])
-        assert set(loads(location).loads.tolist()) <= {0, 1}
+        assert set(loads(np.array([2, 4, 6]), 6).tolist()) <= {0, 1}
 
     def test_load_sum_is_ball_count(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             n = int(rng.integers(1, 50))
             k = int(rng.integers(0, 200))
-            location = sample_locations(n, k, rng)
-            assert loads(location).total == k
+            entries = sample_locations(n, k, rng)
+            assert entries.dtype == np.int64 and entries.shape == (k,)
+            assert loads(entries, n).sum() == k
 
     def test_entries_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            LocationVector(n_bins=3, entries=[1, 4])
-        with pytest.raises(ValueError):
-            LocationVector(n_bins=3, entries=[0, 2])
+        with pytest.raises(ValueError, match="entries must lie in \\[1, 3\\]"):
+            loads(np.array([1, 4]), 3)
+        with pytest.raises(ValueError, match="entries must lie in \\[1, 3\\]"):
+            loads(np.array([0, 2]), 3)
+
+    @pytest.mark.parametrize(
+        "entries,n_bins,message",
+        [
+            (np.array([[1, 2], [2, 3]]), 3, "entries must be one-dimensional"),
+            (np.array([1.0, 2.0]), 3, "entries must be integers, got float64"),
+            (np.zeros(0, dtype=np.int64), 0, "n_bins must be a positive integer"),
+        ],
+        ids=["two-dimensional", "float", "no-bins"],
+    )
+    def test_malformed_input_rejected(self, entries, n_bins, message):
+        with pytest.raises(ValueError, match=message):
+            loads(entries, n_bins)
 
 
 class TestSamplingDistribution:
@@ -77,7 +89,7 @@ class TestSamplingDistribution:
 
     def test_marginals_pass_chi_square(self):
         rng = derive_rng(424242, 0)
-        entries = sample_locations(10, 10**6, rng).entries
+        entries = sample_locations(10, 10**6, rng)
         counts = np.bincount(entries, minlength=11)[1:]
         result = stats.chisquare(counts)
         assert result.pvalue >= 0.001
@@ -144,9 +156,8 @@ class TestMaxLoadConcentration:
             gaps = []
             for i in range(100):
                 rng = derive_rng(616161, offset + i)
-                location = sample_locations(n, n, rng)
-                load_vector = loads(location)
-                gaps.append(max_load(load_vector) - int(load_vector.loads[:t].max()))
+                counts = loads(sample_locations(n, n, rng), n)
+                gaps.append(max_load(counts) - max_load(counts[:t]))
             medians[n] = float(np.median(gaps))
         assert medians[10**6] > medians[10**4]
 

@@ -202,7 +202,8 @@ class TestEdgeListFiles:
 
 class TestRefusedValues:
     """A value that ``nu`` or ``sample`` passes on and the library refuses is
-    a usage error that keeps the library's message."""
+    a usage error that keeps the library's message and prints the
+    subcommand's usage line."""
 
     @pytest.mark.parametrize(
         "argv,core,message",
@@ -261,6 +262,7 @@ class TestRefusedValues:
         ],
     )
     def test_is_a_usage_error(self, capsys, tmp_path, argv, core, message):
+        command = " ".join(argv[:2] if argv[0] == "sample" else argv[:1])
         if argv[0] == "sample":
             argv = [*argv, "--seed", "1"]
         if core is not None:
@@ -272,6 +274,7 @@ class TestRefusedValues:
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith(f"usage: degreelab {command} ")
         assert f"error: {message}" in captured.err
 
     def test_exhausted_attempts_are_not_a_usage_error(self):
@@ -358,6 +361,30 @@ class TestExperimentCommand:
             cfg_path.write_text(json.dumps(payload))
             code, _, _ = run_cli(capsys, "experiment", "run", "--config", str(cfg_path))
             assert code == expected
+
+    @pytest.mark.parametrize(
+        "flag,env,message",
+        [
+            (["--jobs", "0"], None, "jobs must be a positive integer, got 0"),
+            (["--jobs", "-1"], None, "jobs must be a positive integer, got -1"),
+            ([], "abc", "DEGREELAB_JOBS must be a positive integer, got 'abc'"),
+            ([], "0", "DEGREELAB_JOBS must be a positive integer, got 0"),
+        ],
+    )
+    def test_bad_jobs_is_a_usage_error(
+        self, capsys, tmp_path, monkeypatch, flag, env, message
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"experiment": "bins_concentration", "n": 10, "trials": 1}')
+        if env is not None:
+            monkeypatch.setenv("DEGREELAB_JOBS", env)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "run", "--config", str(cfg_path), *flag])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: degreelab experiment run ")
+        assert f"error: {message}" in captured.err
 
     @pytest.mark.parametrize(
         "text,message",

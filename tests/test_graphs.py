@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degreelab.graphs import (
-    PlanarityLimitError,
+    EnumerationLimitError,
     SimpleGraph,
     _edge_arrays,
     _kuratowski_masks,
@@ -21,7 +21,6 @@ from degreelab.graphs import (
     decompose_masks,
     format_edge_list,
     induced_subgraph,
-    is_planar,
     isolated_counts,
     max_degree,
     parse_edge_list,
@@ -587,49 +586,17 @@ class TestIsolatedCounts:
 
 class TestPlanarity:
     def test_k5_not_planar(self):
-        k5 = SimpleGraph.from_edges(5, complete_graph_edges(5))
-        assert not is_planar(k5)
+        k5 = (1 << len(complete_graph_edges(5))) - 1
+        assert not planarity_table(5)[k5]
 
     def test_k33_not_planar(self):
-        k33 = SimpleGraph.from_edges(
-            6, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]
+        k33 = sum(
+            1 << i
+            for i, (u, v) in enumerate(complete_graph_edges(6))
+            if u <= 3 < v
         )
-        assert not is_planar(k33)
-
-    def test_noncomplex_graphs_are_planar(self):
-        cycle = [(v, v + 1) for v in range(1, 40)] + [(40, 1)]
-        tail = [(12, 41), (41, 42)]
-        graph = SimpleGraph.from_edges(42, cycle + tail)
-        assert is_planar(graph)
-
-    def test_refuses_large_undecidable_component(self):
-        # 13 vertices, dense enough to pass the fast paths but too large for
-        # the subdivision search.
-        path = [(v, v + 1) for v in range(1, 13)]
-        chords = [(v, v + 2) for v in range(1, 12)]
-        graph = SimpleGraph.from_edges(13, path + chords)
-        with pytest.raises(PlanarityLimitError):
-            is_planar(graph)
-
-    def test_edge_budget_fast_path(self):
-        # 3n - 6 + 1 edges forces non-planarity without any search.
-        n = 12
-        edges = []
-        for u in range(1, n + 1):
-            for v in range(u + 1, n + 1):
-                edges.append((u, v))
-                if len(edges) == 3 * n - 6 + 1:
-                    break
-            if len(edges) == 3 * n - 6 + 1:
-                break
-        graph = SimpleGraph.from_edges(n, edges)
-        assert not is_planar(graph)
-
-    def test_exhaustive_against_mask_table_n6(self):
-        table = planarity_table(6)
-        for mask in range(1 << 15):
-            graph = graph_from_mask(6, mask)
-            assert is_planar(graph) == bool(table[mask]), mask
+        assert bin(k33).count("1") == 9
+        assert not planarity_table(6)[k33]
 
     def test_mask_table_against_networkx(self):
         rng = np.random.default_rng(99)
@@ -640,18 +607,6 @@ class TestPlanarity:
             for mask in masks:
                 graph = graph_from_mask(n, int(mask))
                 assert bool(table[int(mask)]) == networkx_planar(n, graph.edges)
-
-    def test_search_against_networkx_dense_zone_n7(self):
-        # Random graphs in the edge range where the subdivision search
-        # actually runs (m in [9, 3n-6]).
-        rng = np.random.default_rng(123)
-        all_edges = complete_graph_edges(7)
-        for _ in range(300):
-            m = int(rng.integers(9, 16))
-            chosen = rng.permutation(len(all_edges))[:m]
-            edges = [all_edges[i] for i in chosen]
-            graph = SimpleGraph.from_edges(7, edges)
-            assert is_planar(graph) == networkx_planar(7, graph.edges)
 
 
 class TestPlanarityTable:
@@ -678,7 +633,7 @@ class TestPlanarityTable:
 
     @pytest.mark.parametrize("n", [-1, 8])
     def test_refuses_out_of_range(self, n):
-        with pytest.raises(PlanarityLimitError):
+        with pytest.raises(EnumerationLimitError):
             planarity_table(n)
 
     def test_cached_table_is_read_only(self):
