@@ -10,26 +10,18 @@ graph classes, and a reproducible Monte Carlo experiment harness with a CLI.
 
 from degreelab.concentration import (
     PredictedInterval,
-    Regime,
-    RegimeSpec,
     balanced_concentration,
     concentration_point,
     load_exponent,
     predicted_interval_sparse,
-    predicted_two_point,
-    regime_parameters,
 )
 
 __all__ = [
     "PredictedInterval",
-    "Regime",
-    "RegimeSpec",
     "balanced_concentration",
     "concentration_point",
     "load_exponent",
     "predicted_interval_sparse",
-    "predicted_two_point",
-    "regime_parameters",
 ]
 
 __version__ = "0.1.0"

@@ -162,6 +162,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_nu(args: argparse.Namespace) -> int:
+    if (args.k is not None) + args.hat + args.interval > 1:
+        raise ValueError("nu takes only one of --k, --hat and --interval")
+    if not args.interval and (args.m is not None or args.eps is not None):
+        raise ValueError("nu takes --m and --eps only with --interval")
     if args.interval:
         if args.m is None or args.eps is None:
             raise ValueError("nu --interval needs --m and --eps")

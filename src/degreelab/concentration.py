@@ -8,16 +8,15 @@ maximum degree of the random multigraph built by pairing up ball locations)
 concentrates on the two integers around it.
 
 This module evaluates the exponent, solves for its zero, and turns the zero
-into predicted two-point windows for the maximum degree of sparse random
-planar graphs, both below the critical density and in the five named regimes
-between n/2 and n + o(n) edges.
+into a predicted window and two-point anchor for the maximum degree of a
+sparse random planar graph below the critical density, that is with at most
+n/2 + O(n^{2/3}) edges.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 DEFAULT_TOL = 1e-9
 
@@ -89,77 +88,6 @@ def balanced_concentration(n: int, tol: float = DEFAULT_TOL) -> float:
     return concentration_point(n, n, tol)
 
 
-class Regime(Enum):
-    """Edge-density regimes between n/2 + omega(n^{2/3}) and n + o(n) edges.
-
-    The letters match the conventional split of the sparse window:
-    (A) weakly supercritical m = n/2 + s, (B) intermediate m = d*n/2 with
-    d in (1, 2), and m = n + t with t negative (C), critical |t| ~ n^{3/5}
-    (D), or positive (E).
-    """
-
-    SUPERCRITICAL = "A_supercritical"
-    INTERMEDIATE = "B_intermediate"
-    BELOW_N = "C_below_n"
-    CRITICAL_T = "D_critical_t"
-    ABOVE_N = "E_above_n"
-
-
-@dataclass(frozen=True)
-class RegimeSpec:
-    """A regime together with the parameters that pin it down.
-
-    ``s_or_t`` is the shift s for regime A and t for regimes C/D/E (unused
-    for B).  ``d`` is the limiting average degree for regime B only and must
-    lie strictly between 1 and 2 when given.
-    """
-
-    regime: Regime
-    n: int
-    s_or_t: int | None = None
-    d: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        if self.d is not None:
-            if self.regime is not Regime.INTERMEDIATE:
-                raise ValueError("d is only meaningful for the intermediate regime")
-            if not 1.0 < self.d < 2.0:
-                raise ValueError(f"d must lie in (1, 2), got {self.d}")
-        if self.regime is Regime.SUPERCRITICAL:
-            if self.s_or_t is None or self.s_or_t <= 0:
-                raise ValueError("regime A requires s > 0")
-        elif self.regime is Regime.BELOW_N:
-            if self.s_or_t is None or self.s_or_t >= 0:
-                raise ValueError("regime C requires t < 0")
-        elif self.regime is Regime.ABOVE_N:
-            if self.s_or_t is None or self.s_or_t <= 0:
-                raise ValueError("regime E requires t > 0")
-
-
-def regime_parameters(spec: RegimeSpec) -> tuple[float, float]:
-    """Component-scale parameters (N_L, N_R) for a regime.
-
-    N_L and N_R are the orders of magnitude of the largest component and of
-    the rest of the graph: (A) (s, n); (B) (n, n); (C) (n, |t|);
-    (D) (n, n^{3/5}); (E) (n, n^{3/2} * t^{-3/2}).  Returned as floats; round
-    up to integers before feeding them to ``balanced_concentration``.
-    """
-    n = float(spec.n)
-    if spec.regime is Regime.SUPERCRITICAL:
-        return float(spec.s_or_t), n
-    if spec.regime is Regime.INTERMEDIATE:
-        return n, n
-    if spec.regime is Regime.BELOW_N:
-        return n, float(abs(spec.s_or_t))
-    if spec.regime is Regime.CRITICAL_T:
-        return n, n ** 0.6
-    if spec.regime is Regime.ABOVE_N:
-        return n, n ** 1.5 * float(spec.s_or_t) ** -1.5
-    raise ValueError(f"unknown regime {spec.regime!r}")
-
-
 @dataclass(frozen=True)
 class PredictedInterval:
     """Predicted window for a maximum degree, plus its two-point anchor.
@@ -197,18 +125,3 @@ def predicted_interval_sparse(
         delta_star=math.floor(c - TWO_POINT_EPS),
     )
 
-
-def predicted_two_point(spec: RegimeSpec, tol: float = DEFAULT_TOL) -> int:
-    """Two-point anchor for the max degree in one of the named regimes.
-
-    Returns max(floor(c_hat(N_L) + 2/3), floor(c_hat(N_R) - 1/3)) where c_hat
-    is the balanced concentration point and N_L, N_R come from
-    ``regime_parameters`` (rounded up to integers).
-    """
-    big, rest = regime_parameters(spec)
-    c_big = balanced_concentration(math.ceil(big), tol)
-    c_rest = balanced_concentration(math.ceil(rest), tol)
-    return max(
-        math.floor(c_big + 2.0 * TWO_POINT_EPS),
-        math.floor(c_rest - TWO_POINT_EPS),
-    )

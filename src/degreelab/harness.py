@@ -133,6 +133,8 @@ class ExperimentConfig:
                 raise ValueError("n must be an integer or a non-empty grid, got []")
             for v in self.n:
                 _check_count("n", v, minimum=1)
+            if len(set(self.n)) < len(self.n):
+                raise ValueError(f"n must not repeat a grid size, got {list(self.n)}")
             object.__setattr__(self, "n", tuple(int(v) for v in self.n))
         elif self.n is not None:
             _check_count("n", self.n, minimum=1)
@@ -530,6 +532,7 @@ def run_experiment(
 
     Per-trial generators depend only on (seed, trial index), and records are
     ordered by trial index, so the output is identical for any ``jobs``.
+    At most one worker per trial is started; with one, trials run in-process.
     """
     if jobs is None:
         jobs = default_jobs()
@@ -546,10 +549,13 @@ def run_experiment(
             for g, plan in enumerate(plans)
             for i in range(cfg.trials)
         ]
-        if jobs == 1:
+        # A forking pool starts all of its workers at the first submit, so it
+        # gets no more of them than there are trials.
+        workers = min(jobs, len(tasks))
+        if workers == 1:
             records = [_run_trial(task) for task in tasks]
         else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 records = list(pool.map(_run_trial, tasks, chunksize=8))
     return ExperimentResult(records=tuple(records), summary=_summarise(cfg, records))
 

@@ -259,6 +259,22 @@ class TestRefusedValues:
                 None,
                 "nu --interval needs --m and --eps",
             ),
+            (
+                ["nu", "--n", "100", "--k", "5", "--hat"],
+                None,
+                "nu takes only one of --k, --hat and --interval",
+            ),
+            (
+                ["nu", "--n", "100", "--hat", "--interval"]
+                + ["--m", "10", "--eps", "0.3"],
+                None,
+                "nu takes only one of --k, --hat and --interval",
+            ),
+            (
+                ["nu", "--n", "100", "--k", "5", "--m", "3", "--eps", "0.2"],
+                None,
+                "nu takes --m and --eps only with --interval",
+            ),
         ],
     )
     def test_is_a_usage_error(self, capsys, tmp_path, argv, core, message):
@@ -481,6 +497,10 @@ class TestExperimentCommand:
                 '{"experiment": "complexpart_maxdegree", "n": 10, "q": 50,'
                 ' "core": [[1, 2], [2, 3], [1, 3]]}',
                 "n must be left out for complexpart_maxdegree, which reads q, got 10",
+            ),
+            (
+                '{"experiment": "bins_concentration", "n": [50, 50], "trials": 3}',
+                "n must not repeat a grid size, got \\[50, 50\\]",
             ),
         ],
     )

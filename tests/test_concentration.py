@@ -9,14 +9,10 @@ import pytest
 
 from degreelab.concentration import (
     PredictedInterval,
-    Regime,
-    RegimeSpec,
     balanced_concentration,
     concentration_point,
     load_exponent,
     predicted_interval_sparse,
-    predicted_two_point,
-    regime_parameters,
 )
 
 
@@ -121,53 +117,6 @@ class TestConcentrationPoint:
             assert a < b
 
 
-class TestRegimeParameters:
-    def test_intermediate_uses_n_twice(self):
-        spec = RegimeSpec(regime=Regime.INTERMEDIATE, n=10**5)
-        assert regime_parameters(spec) == (10**5, 10**5)
-
-    def test_supercritical_uses_shift_then_n(self):
-        spec = RegimeSpec(regime=Regime.SUPERCRITICAL, n=10**6, s_or_t=10**5)
-        assert regime_parameters(spec) == (10**5, 10**6)
-
-    def test_above_n_scaling(self):
-        spec = RegimeSpec(regime=Regime.ABOVE_N, n=10**6, s_or_t=10**4)
-        big, rest = regime_parameters(spec)
-        assert big == 10**6
-        assert rest == pytest.approx(10**3)
-
-    def test_below_n_uses_absolute_t(self):
-        spec = RegimeSpec(regime=Regime.BELOW_N, n=10**6, s_or_t=-10**5)
-        assert regime_parameters(spec) == (10**6, 10**5)
-
-    def test_critical_uses_three_fifths_power(self):
-        spec = RegimeSpec(regime=Regime.CRITICAL_T, n=10**5)
-        big, rest = regime_parameters(spec)
-        assert rest == pytest.approx((10**5) ** 0.6)
-
-    @pytest.mark.parametrize(
-        "regime,s_or_t",
-        [
-            (Regime.SUPERCRITICAL, None),
-            (Regime.SUPERCRITICAL, 0),
-            (Regime.SUPERCRITICAL, -5),
-            (Regime.BELOW_N, 5),
-            (Regime.BELOW_N, None),
-            (Regime.ABOVE_N, -5),
-        ],
-    )
-    def test_sign_constraints(self, regime, s_or_t):
-        with pytest.raises(ValueError):
-            RegimeSpec(regime=regime, n=100, s_or_t=s_or_t)
-
-    def test_d_only_for_intermediate_and_in_range(self):
-        with pytest.raises(ValueError):
-            RegimeSpec(regime=Regime.SUPERCRITICAL, n=100, s_or_t=5, d=1.5)
-        with pytest.raises(ValueError):
-            RegimeSpec(regime=Regime.INTERMEDIATE, n=100, d=2.5)
-        RegimeSpec(regime=Regime.INTERMEDIATE, n=100, d=1.5)
-
-
 class TestPredictedIntervals:
     def test_sparse_window_at_half_density(self):
         n = 10**6
@@ -192,30 +141,3 @@ class TestPredictedIntervals:
     def test_interval_validates_ordering(self):
         with pytest.raises(ValueError):
             PredictedInterval(lo=3, hi=2, delta_star=2)
-
-    def test_two_point_intermediate_ignores_d(self):
-        anchor_plain = predicted_two_point(
-            RegimeSpec(regime=Regime.INTERMEDIATE, n=10**5)
-        )
-        anchor_with_d = predicted_two_point(
-            RegimeSpec(regime=Regime.INTERMEDIATE, n=10**5, d=1.999)
-        )
-        value = balanced_concentration(10**5)
-        assert anchor_plain == anchor_with_d == math.floor(value + 2.0 / 3.0)
-
-    def test_two_point_boundary_supercritical_equals_intermediate(self):
-        n = 10**5
-        at_boundary = predicted_two_point(
-            RegimeSpec(regime=Regime.SUPERCRITICAL, n=n, s_or_t=n)
-        )
-        intermediate = predicted_two_point(RegimeSpec(regime=Regime.INTERMEDIATE, n=n))
-        assert at_boundary == intermediate
-
-    def test_two_point_below_n_combines_both_scales(self):
-        n, t = 10**6, -(10**5)
-        anchor = predicted_two_point(RegimeSpec(regime=Regime.BELOW_N, n=n, s_or_t=t))
-        expected = max(
-            math.floor(balanced_concentration(n) + 2.0 / 3.0),
-            math.floor(balanced_concentration(10**5) - 1.0 / 3.0),
-        )
-        assert anchor == expected

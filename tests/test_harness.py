@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degreelab import harness
 from degreelab.harness import (
     CSV_COLUMNS,
     EXPERIMENTS,
@@ -87,7 +88,7 @@ def valid_fields(draw, largest):
         return fields
     least_n = 1 if experiment in ("bins_concentration", "decomposition_stats") else 2
     size = st.integers(least_n, largest)
-    fields["n"] = n = draw(size | st.lists(size, min_size=1, max_size=4))
+    fields["n"] = n = draw(size | st.lists(size, min_size=1, max_size=4, unique=True))
     least = n if isinstance(n, int) else min(n)
     name, lo, hi = {
         "bins_concentration": ("balls", 1, largest),
@@ -284,6 +285,7 @@ class TestConfig:
                 "n must be left out for complexpart_maxdegree, which reads q, "
                 "got \\[10, 20\\]",
             ),
+            ("n", [50, 50], "n must not repeat a grid size, got \\[50, 50\\]"),
         ],
     )
     def test_bad_values_rejected_with_field_and_value(self, field, value, message):
@@ -505,6 +507,31 @@ class TestRunExperiment:
         strict_summary = run_experiment(strict).summary
         assert strict_summary["hit_rate"] < 1.0
         assert strict_summary["thresholds_met"] is False
+
+    def test_never_more_workers_than_trials(self, monkeypatch):
+        built = []
+
+        class InProcessPool:
+            # Records the pool size and maps in-process: no process starts.
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        cfg = ExperimentConfig(experiment="bins_concentration", n=50, trials=3, seed=1)
+        assert run_experiment(cfg, jobs=8) == run_experiment(cfg, jobs=1)
+        assert built == [3]
+        one = ExperimentConfig(experiment="bins_concentration", n=50, seed=1)
+        run_experiment(one, jobs=4)
+        assert built == [3]
 
     def test_default_jobs_env(self, monkeypatch):
         monkeypatch.delenv("DEGREELAB_JOBS", raising=False)
