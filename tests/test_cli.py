@@ -275,6 +275,22 @@ class TestRefusedValues:
                 None,
                 "nu takes --m and --eps only with --interval",
             ),
+            (
+                ["nu", "--n", "100", "--k", "5", "--interval"]
+                + ["--m", "3", "--eps", "0.2"],
+                None,
+                "nu takes only one of --k, --hat and --interval",
+            ),
+            (
+                ["nu", "--n", "100", "--hat", "--eps", "0.2"],
+                None,
+                "nu takes --m and --eps only with --interval",
+            ),
+            (
+                ["nu", "--n", "100", "--m", "3"],
+                None,
+                "nu takes --m and --eps only with --interval",
+            ),
         ],
     )
     def test_is_a_usage_error(self, capsys, tmp_path, argv, core, message):
@@ -501,6 +517,10 @@ class TestExperimentCommand:
             (
                 '{"experiment": "bins_concentration", "n": [50, 50], "trials": 3}',
                 "n must not repeat a grid size, got \\[50, 50\\]",
+            ),
+            (
+                '{"experiment": "decomposition_stats", "n": [10, 20, 10], "m": 5}',
+                "n must not repeat a grid size, got \\[10, 20, 10\\]",
             ),
         ],
     )

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from degreelab.concentration import (
+    TWO_POINT_EPS,
     PredictedInterval,
     balanced_concentration,
     concentration_point,
@@ -82,6 +83,12 @@ class TestConcentrationPoint:
         value = concentration_point(10**9, 10**18)
         assert abs(load_exponent(value, 10**9, 10**18)) < 1e-3
 
+    def test_rejects_non_positive_tol(self):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            concentration_point(100, 100, tol=0.0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            concentration_point(100, 100, tol=-1e-9)
+
     def test_balanced_shorthand_matches(self):
         assert balanced_concentration(12345) == concentration_point(12345, 12345)
 
@@ -141,3 +148,23 @@ class TestPredictedIntervals:
     def test_interval_validates_ordering(self):
         with pytest.raises(ValueError):
             PredictedInterval(lo=3, hi=2, delta_star=2)
+
+    @pytest.mark.parametrize(
+        "m,eps,message",
+        [
+            (0, 0.3, "m must be a positive integer, got 0"),
+            (5, -0.1, "eps must be non-negative, got -0.1"),
+        ],
+    )
+    def test_sparse_rejects_bad_arguments(self, m, eps, message):
+        with pytest.raises(ValueError, match=message):
+            predicted_interval_sparse(100, m, eps)
+
+    def test_anchor_is_window_low_end_at_two_point_eps(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(10, 10**7))
+            m = int(rng.integers(1, max(2, n // 2)))
+            interval = predicted_interval_sparse(n, m, eps=TWO_POINT_EPS)
+            assert interval.lo == interval.delta_star
+            assert interval.hi in (interval.delta_star, interval.delta_star + 1)

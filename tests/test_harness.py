@@ -286,6 +286,11 @@ class TestConfig:
                 "got \\[10, 20\\]",
             ),
             ("n", [50, 50], "n must not repeat a grid size, got \\[50, 50\\]"),
+            (
+                "n",
+                [10, 20, 10],
+                "n must not repeat a grid size, got \\[10, 20, 10\\]",
+            ),
         ],
     )
     def test_bad_values_rejected_with_field_and_value(self, field, value, message):
@@ -529,9 +534,17 @@ class TestRunExperiment:
         cfg = ExperimentConfig(experiment="bins_concentration", n=50, trials=3, seed=1)
         assert run_experiment(cfg, jobs=8) == run_experiment(cfg, jobs=1)
         assert built == [3]
+        five = ExperimentConfig(experiment="bins_concentration", n=50, trials=5, seed=1)
+        assert run_experiment(five, jobs=2) == run_experiment(five, jobs=1)
+        assert built == [3, 2]
+
+    def test_one_trial_builds_no_pool_at_any_jobs(self, monkeypatch):
+        def refuse(max_workers):
+            raise AssertionError(f"pool built with {max_workers} workers")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
         one = ExperimentConfig(experiment="bins_concentration", n=50, seed=1)
-        run_experiment(one, jobs=4)
-        assert built == [3]
+        assert run_experiment(one, jobs=4) == run_experiment(one, jobs=1)
 
     def test_default_jobs_env(self, monkeypatch):
         monkeypatch.delenv("DEGREELAB_JOBS", raising=False)
