@@ -2,9 +2,10 @@
 
 Graph algorithms run on endpoint arrays (1-based labels on [n]):
 ``component_stats`` labels components by hooking roots and pointer jumping
-in NumPy, ``peel`` computes the 2-core by a frontier peel over a CSR index,
-and ``decompose_masks`` combines them.  The ``SimpleGraph`` functions convert
-their edges and call these.
+in NumPy, ``peel`` computes the 2-core by deleting leaves, each of which
+finds its one live neighbour as the XOR of its live neighbours (no adjacency
+index), and ``decompose_masks`` combines them.  The ``SimpleGraph``
+functions convert their edges and call these.
 
 A component is *complex* if it has at least two independent cycles (edge
 count >= vertex count + 1).  The complex part of a graph is the union of its
@@ -166,13 +167,6 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
-def _csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR index of the pairs (rows[i], cols[i]) on 0..n-1: (indptr, cols by row)."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, cols[np.argsort(rows)]
-
-
 def _component_roots(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Smallest member of the component of each vertex, for 0-based int32 edges.
 
@@ -237,30 +231,58 @@ def has_complex_component(n: int, us: np.ndarray, vs: np.ndarray) -> bool:
     return bool(np.any(edge_counts >= vertex_counts + 1))
 
 
+#: Frontier width above which ``peel`` deletes a whole frontier in one NumPy
+#: round; below it, one leaf at a time in Python costs less than a round's
+#: fixed NumPy overhead.
+_BULK_FRONTIER = 64
+
+
 def peel(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Mask of the vertices left after recursively deleting those of degree <= 1.
 
-    alive[v - 1] is True iff v lies in the classical 2-core.  Each round
-    deletes the current frontier and visits only its neighbours through a
-    CSR index, never all n vertices, so trees of depth ~sqrt(n) hanging off
-    the core cost their size, not n per level.
+    alive[v - 1] is True iff v lies in the classical 2-core.  The peel keeps
+    two arrays on the labels, with slot 0 a dead sentinel: each vertex's live
+    degree and ``link``, the XOR of its live neighbours.  A vertex of degree
+    one therefore has ``link[v]`` as its one live neighbour, and one of
+    degree zero has link 0, the sentinel, so deleting a leaf v is
+    ``degree[p] -= 1; link[p] ^= v`` with ``p = link[v]`` and needs no
+    adjacency index (the peeling step of Graf & Lemire's XOR filters).
+
+    A stack of leaves, one deletion at a time, is a complete peel.  While the
+    frontier (live vertices of degree <= 1) is wider than ``_BULK_FRONTIER``,
+    it is deleted in one NumPy round instead; that batches the wide first
+    rounds, and the stack then finishes the narrow tail of hanging trees that
+    are ~sqrt(n) deep, which would otherwise cost one NumPy round per level.
     """
-    indptr, neighbours = _csr(
-        n, np.concatenate((us, vs)) - 1, np.concatenate((vs, us)) - 1
-    )
-    degree = np.diff(indptr)
-    alive = np.ones(n, dtype=bool)
-    frontier = np.flatnonzero(degree <= 1)
-    while frontier.size:
+    us, vs = np.asarray(us, dtype=np.intp), np.asarray(vs, dtype=np.intp)
+    degree = np.bincount(us, minlength=n + 1) + np.bincount(vs, minlength=n + 1)
+    link = np.zeros(n + 1, dtype=np.intp)
+    np.bitwise_xor.at(link, us, vs)
+    np.bitwise_xor.at(link, vs, us)
+    alive = np.ones(n + 1, dtype=bool)
+    alive[0] = False
+    frontier = np.flatnonzero(degree[1:] <= 1) + 1
+    while frontier.size > _BULK_FRONTIER:
         alive[frontier] = False
-        starts = indptr[frontier]
-        lengths = indptr[frontier + 1] - starts
-        offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        touched = neighbours[offsets + np.arange(offsets.size)]
-        touched = touched[alive[touched]]
-        np.subtract.at(degree, touched, 1)
-        frontier = _distinct(touched[degree[touched] <= 1])
-    return alive
+        parents = link[frontier]
+        live = alive[parents]
+        leaves, parents = frontier[live], parents[live]
+        np.subtract.at(degree, parents, 1)
+        np.bitwise_xor.at(link, parents, leaves)
+        frontier = _distinct(parents[degree[parents] <= 1])
+    stack = frontier.tolist()
+    alive_at, degree_at = memoryview(alive), memoryview(degree)
+    link_at = memoryview(link)
+    while stack:
+        v = stack.pop()
+        alive_at[v] = False
+        p = link_at[v]
+        if alive_at[p]:
+            link_at[p] ^= v
+            degree_at[p] -= 1
+            if degree_at[p] == 1:
+                stack.append(p)
+    return alive[1:]
 
 
 def decompose_masks(

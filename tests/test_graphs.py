@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degreelab.graphs import (
+    _BULK_FRONTIER,
     EnumerationLimitError,
     SimpleGraph,
     _edge_arrays,
@@ -30,7 +31,7 @@ from degreelab.graphs import (
     two_core,
 )
 from degreelab.pruefer import decode_arrays, sample_codeword, validate_forest
-from degreelab.samplers import sample_gnm_arrays
+from degreelab.samplers import complex_part_arrays, sample_gnm_arrays
 
 from oracles import (
     bfs_components,
@@ -400,14 +401,58 @@ def kernel_cases():
             yield relabelled_union(rng, mix)
 
 
+TRIANGLE = [(1, 2), (2, 3), (1, 3)]
+
+
+def first_frontier(n: int, us: np.ndarray, vs: np.ndarray) -> int:
+    """Number of vertices of degree <= 1, the width of the peel's first round."""
+    degree = np.bincount(np.concatenate((us, vs)), minlength=n + 1)[1:]
+    return int(np.count_nonzero(degree <= 1))
+
+
+def assert_peel_matches_queue(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    alive = peel(n, us, vs)
+    assert alive.shape == (n,) and alive.dtype == bool
+    edges = list(zip(us.tolist(), vs.tolist()))
+    assert set((np.flatnonzero(alive) + 1).tolist()) == queue_peel(
+        range(1, n + 1), edges
+    )
+    return alive
+
+
+def random_tree_edges(rng, k: int, reach: int) -> list[tuple[int, int]]:
+    """A tree on [k]: vertex i joins one of the ``reach`` vertices before it,
+    so reach 1 gives a path and a large reach a shallow random tree."""
+    parents = np.arange(1, k) - rng.integers(0, np.minimum(np.arange(1, k), reach))
+    return list(zip(parents.tolist(), range(2, k + 1)))
+
+
+@st.composite
+def cores_with_trees(draw):
+    """Relabelled union of an optional small core and random trees of 1-3000
+    vertices, each tree either free or hung from a core vertex by its root.
+
+    The sizes straddle the peel's bulk threshold, so some draws finish in
+    the stack alone and others take bulk rounds first.
+    """
+    core = draw(st.sampled_from([[], TRIANGLE, BOWTIE, THETA, CYCLE5]))
+    order = max((max(e) for e in core), default=0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges, n = list(core), order
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(1, 3000))
+        reach = draw(st.sampled_from([1, 2, 8, k]))
+        edges += [(u + n, v + n) for u, v in random_tree_edges(rng, k, reach)]
+        if order and draw(st.booleans()):
+            edges.append((int(rng.integers(1, order + 1)), n + 1))
+        n += k
+    return relabelled_union(rng, [(n, edges)])
+
+
 class TestArrayKernels:
     def test_peel_matches_queue_oracle(self):
-        for n, us, vs in kernel_cases():
-            edges = list(zip(us.tolist(), vs.tolist()))
-            alive = peel(n, us, vs)
-            assert set((np.flatnonzero(alive) + 1).tolist()) == queue_peel(
-                range(1, n + 1), edges
-            )
+        for case in kernel_cases():
+            assert_peel_matches_queue(*case)
 
     def test_component_stats_matches_union_find(self):
         for n, us, vs in kernel_cases():
@@ -462,7 +507,8 @@ class TestArrayKernels:
 
     def test_no_hash_unique_on_the_sampling_path(self, monkeypatch):
         # numpy >= 2.3 answers a value-only np.unique by hashing, an order of
-        # magnitude slower than sorting; the rejection loop and the peel sort.
+        # magnitude slower than sorting; the rejection loop and the peel's
+        # bulk rounds dedupe by sorting instead.
         def refuse(*args, **kwargs):
             raise AssertionError("np.unique called")
 
@@ -473,6 +519,9 @@ class TestArrayKernels:
                 60, 40, rng, require_noncomplex=noncomplex
             )
             peel(60, us, vs)
+        us, vs = complex_part_arrays(SimpleGraph.from_edges(3, TRIANGLE), 2000, rng)
+        assert first_frontier(2000, us, vs) > _BULK_FRONTIER
+        peel(2000, us, vs)
         validate_forest(SimpleGraph.from_edges(4, [(1, 3), (2, 4)]), 2)
 
     def test_bare_cycle_is_peeled_but_not_core(self):
@@ -505,6 +554,48 @@ class TestArrayKernels:
         assert two_core(graph).vertices == (3, 8, 9, 20, 21)
         assert decompose(graph).non_complex.vertices == ()
         assert complex_by_component(graph) == {frozenset(graph.vertices): True}
+
+
+def star_on_triangle(leaves: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Triangle 1-2-3, path 3-4-5, and star centre 5 with ``leaves`` leaves."""
+    edges = [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5)]
+    edges += [(5, 6 + i) for i in range(leaves)]
+    us, vs = (np.array(side, dtype=np.int64) for side in zip(*edges))
+    return 5 + leaves, us, vs
+
+
+def bulk_cases():
+    """Graphs whose first frontier is wider than the peel's bulk threshold."""
+    rng = np.random.default_rng(77)
+    for name, core in (("triangle", TRIANGLE), ("bowtie", BOWTIE)):
+        for q in (500, 5000):
+            graph = SimpleGraph.from_edges(max(map(max, core)), core)
+            yield pytest.param(
+                q, *complex_part_arrays(graph, q, rng), id=f"complex-part-{name}-{q}"
+            )
+    for ratio in (0.5, 0.6, 1.2):
+        us, vs, _, _ = sample_gnm_arrays(5000, int(ratio * 5000), rng)
+        yield pytest.param(5000, us, vs, id=f"gnm-5000-{ratio}n")
+    forest = decode_arrays(sample_codeword(3000, 4, rng), 3000, 4)
+    yield pytest.param(3000, *forest, id="forest-no-core")
+    for leaves in (65, 200):
+        yield pytest.param(*star_on_triangle(leaves), id=f"star-{leaves}-on-triangle")
+
+
+class TestPeelBulkRounds:
+    @pytest.mark.parametrize("n, us, vs", bulk_cases())
+    def test_matches_queue_oracle(self, n, us, vs):
+        assert first_frontier(n, us, vs) > _BULK_FRONTIER
+        alive = assert_peel_matches_queue(n, us, vs)
+        for dtype in (np.int32, np.uint64):
+            np.testing.assert_array_equal(
+                peel(n, us.astype(dtype), vs.astype(dtype)), alive
+            )
+
+    @settings(deadline=None)
+    @given(drawn=cores_with_trees())
+    def test_matches_queue_oracle_on_trees_around_a_core(self, drawn):
+        assert_peel_matches_queue(*drawn)
 
 
 def assert_matches_scipy(n: int, us: np.ndarray, vs: np.ndarray) -> None:
