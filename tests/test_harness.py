@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from itertools import combinations
+from multiprocessing.connection import wait
 
 import pytest
 from hypothesis import given, settings
@@ -518,23 +524,27 @@ class TestRunExperiment:
 
         class InProcessPool:
             # Records the pool size and maps in-process: no process starts.
+            # ``_broken`` and ``_processes`` are what harness reads of a real
+            # pool to tell whether it can be reused.
+            _broken = False
+            _processes: dict = {}
+
             def __init__(self, max_workers):
                 built.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
             def map(self, fn, iterable, chunksize=1):
                 return map(fn, iterable)
+
+            def shutdown(self):
+                pass
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
         cfg = ExperimentConfig(experiment="bins_concentration", n=50, trials=3, seed=1)
         assert run_experiment(cfg, jobs=8) == run_experiment(cfg, jobs=1)
         assert built == [3]
         five = ExperimentConfig(experiment="bins_concentration", n=50, trials=5, seed=1)
+        assert run_experiment(five, jobs=2) == run_experiment(five, jobs=1)
+        assert built == [3, 2]
         assert run_experiment(five, jobs=2) == run_experiment(five, jobs=1)
         assert built == [3, 2]
 
@@ -556,6 +566,78 @@ class TestRunExperiment:
         monkeypatch.setenv("DEGREELAB_JOBS", "two")
         with pytest.raises(ValueError, match="DEGREELAB_JOBS.*'two'"):
             default_jobs()
+
+
+def _worker_pids() -> list[int]:
+    # The test process starts no other multiprocessing children.
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def _exit_worker(cfg, plan, rng, aux):
+    os._exit(1)
+
+
+class TestWorkerPool:
+    """The one pool per process that campaigns at ``jobs`` >= 2 share."""
+
+    CFG = ExperimentConfig(experiment="bins_concentration", n=200, trials=6, seed=5)
+
+    def test_consecutive_campaigns_run_on_the_same_workers(self):
+        serial = run_experiment(self.CFG, jobs=1)
+        assert run_experiment(self.CFG, jobs=2) == serial
+        first = _worker_pids()
+        assert len(first) == 2
+        assert run_experiment(self.CFG, jobs=2) == serial
+        assert _worker_pids() == first
+
+    def test_replaced_pools_emit_the_serial_bytes(self, tmp_path):
+        cfg = ExperimentConfig(
+            experiment="bins_concentration", n=[50, 100], trials=4, seed=9
+        )
+
+        def emitted(jobs: int) -> bytes:
+            result = run_experiment(cfg, jobs=jobs)
+            blobs = []
+            for fmt in ("csv", "json"):
+                path = tmp_path / f"{jobs}.{fmt}"
+                emit(result.records, fmt, str(path), summary=result.summary)
+                blobs.append(path.read_bytes())
+            return b"\n".join(blobs)
+
+        serial = emitted(1)
+        pools = []
+        for jobs in (2, 3, 2):
+            assert emitted(jobs) == serial
+            pools.append(_worker_pids())
+        assert [len(pids) for pids in pools] == [2, 3, 2]
+        assert not set(pools[0]) & set(pools[1])
+        assert not set(pools[1]) & set(pools[2])
+
+    def test_worker_killed_while_idle_does_not_fail_the_next_campaign(self):
+        serial = run_experiment(self.CFG, jobs=1)
+        assert run_experiment(self.CFG, jobs=2) == serial
+        # The victim may or may not hold the task queue's lock, and the pool's
+        # own thread may or may not have seen the death when the next campaign
+        # starts; repeat to meet more of these cases.
+        for _ in range(3):
+            victim = multiprocessing.active_children()[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            assert wait([victim.sentinel], timeout=30), "killed worker did not exit"
+            assert run_experiment(self.CFG, jobs=2) == serial
+            assert victim.pid not in _worker_pids()
+
+    def test_broken_pool_propagates_and_the_next_campaign_runs(self, monkeypatch):
+        serial = run_experiment(self.CFG, jobs=1)
+        kind = harness._KINDS["bins_concentration"]
+        # Workers fork at the first parallel campaign, so they see this trial.
+        monkeypatch.setitem(
+            harness._KINDS, "bins_concentration", replace(kind, trial=_exit_worker)
+        )
+        with pytest.raises(BrokenProcessPool):
+            run_experiment(self.CFG, jobs=2)
+        monkeypatch.undo()
+        assert run_experiment(self.CFG, jobs=2) == serial
+        assert run_experiment(self.CFG, jobs=2) == serial
 
 
 class TestEmit:
