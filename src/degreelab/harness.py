@@ -4,7 +4,7 @@ An experiment is a declarative config (what to sample, how often, with which
 seed) that expands into independent trials.  Trial i draws its own random
 generator from the campaign seed via a 64-bit mixing function, so results are
 byte-identical for a fixed config and seed regardless of the degree of
-parallelism, and trials can run in a process pool that campaigns share.
+parallelism, and trials can be shared out among processes.
 
 Each experiment kind is one entry of the ``_KINDS`` table: a ``plan`` that
 resolves the kind's defaults at one grid point, checks the bounds that depend
@@ -27,10 +27,10 @@ import math
 import numbers
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from multiprocessing.connection import wait as ready_sentinels
+from multiprocessing import Pipe, Process
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -526,50 +526,55 @@ def default_jobs() -> int:
     return jobs
 
 
-# The one process pool of this process and its worker count.  Campaigns reuse
-# it, so a run of short campaigns forks its workers once instead of once each.
-# At interpreter exit, concurrent.futures' own hook stops and joins its workers.
-_pool: ProcessPoolExecutor | None = None
-_pool_workers = 0
+def _run_share(tasks, sender) -> None:
+    """Worker body: send the records of ``tasks``, or the error and traceback."""
+    try:
+        share = [_run_trial(task) for task in tasks]
+    except Exception as err:
+        share = (err, traceback.format_exc())
+    sender.send(share)
 
 
-def _shutdown_pool() -> None:
-    """Shut down the cached pool, waiting for its workers to exit."""
-    global _pool
-    pool, _pool = _pool, None
-    if pool is not None:
-        pool.shutdown()
+def _run_forked(tasks: list, workers: int) -> list[TrialRecord]:
+    """Run ``tasks`` on this process and ``workers - 1`` worker processes.
 
-
-def _pool_is_sound(pool: ProcessPoolExecutor) -> bool:
-    # A worker that died while the pool was idle breaks the pool only once its
-    # manager thread notices; the worker's exit sentinel is ready at once.
-    if pool._broken:
-        return False
-    sentinels = [p.sentinel for p in pool._processes.values()]
-    return not ready_sentinels(sentinels, timeout=0)
-
-
-def _worker_pool(workers: int) -> ProcessPoolExecutor:
-    """The cached pool of ``workers`` workers, started or replaced if need be.
-
-    A pool of another size, or one that lost a worker, is shut down before the
-    new one forks, so no fork happens while another pool's threads run.
+    Process w runs every ``workers``-th task from task w, so the shares differ
+    by at most one task and mix the grid points.  The workers are joined before
+    this returns; if a share fails, the others are killed first.
     """
-    global _pool, _pool_workers
-    if _pool is not None and not _pool_is_sound(_pool):
-        # The dead worker may have held the task queue's lock, so the others
-        # might never read a stop request: kill them, as concurrent.futures
-        # ends the workers of a broken pool.
-        for process in _pool._processes.values():
+    records: list[Any] = [None] * len(tasks)
+    started = []
+    try:
+        for w in range(1, workers):
+            receiver, sender = Pipe(duplex=False)
+            process = Process(target=_run_share, args=(tasks[w::workers], sender))
+            process.start()
+            sender.close()
+            started.append((w, process, receiver))
+        records[0::workers] = [_run_trial(task) for task in tasks[0::workers]]
+        for w, process, receiver in started:
+            try:
+                share = receiver.recv()
+            except EOFError:
+                process.join()
+                raise RuntimeError(
+                    f"a campaign worker exited with code {process.exitcode}"
+                ) from None
+            if isinstance(share, tuple):
+                err, worker_traceback = share
+                raise err from RuntimeError(
+                    f"raised in a campaign worker:\n{worker_traceback}"
+                )
+            records[w::workers] = share
+    except BaseException:
+        for _, process, _ in started:
             process.kill()
-        _shutdown_pool()
-    elif _pool is not None and _pool_workers != workers:
-        _shutdown_pool()
-    if _pool is None:
-        _pool = ProcessPoolExecutor(max_workers=workers)
-        _pool_workers = workers
-    return _pool
+        raise
+    finally:
+        for _, process, receiver in started:
+            process.join()
+            receiver.close()
+    return records
 
 
 def run_experiment(
@@ -579,12 +584,8 @@ def run_experiment(
 
     Per-trial generators depend only on (seed, trial index), and records are
     ordered by trial index, so the output is identical for any ``jobs``.
-    At most one worker per trial is used; with one, trials run in-process.
-    Otherwise they run on the process's one pool, which is forked at the first
-    campaign that needs it and reused by later campaigns with the same worker
-    count, so its workers see module state as of that fork.  A change of
-    worker count or a lost worker replaces the pool; its workers exit with the
-    interpreter.
+    Trials run on ``jobs`` processes, never more than there are trials: this
+    one and workers started for the campaign alone, joined before it returns.
     """
     if jobs is None:
         jobs = default_jobs()
@@ -601,14 +602,11 @@ def run_experiment(
             for g, plan in enumerate(plans)
             for i in range(cfg.trials)
         ]
-        # A forking pool starts all of its workers at the first submit, so it
-        # gets no more of them than there are trials.
         workers = min(jobs, len(tasks))
         if workers == 1:
             records = [_run_trial(task) for task in tasks]
         else:
-            pool = _worker_pool(workers)
-            records = list(pool.map(_run_trial, tasks, chunksize=8))
+            records = _run_forked(tasks, workers)
     return ExperimentResult(records=tuple(records), summary=_summarise(cfg, records))
 
 

@@ -7,10 +7,9 @@ import json
 import multiprocessing
 import os
 import signal
-from concurrent.futures.process import BrokenProcessPool
+import time
 from dataclasses import replace
 from itertools import combinations
-from multiprocessing.connection import wait
 
 import pytest
 from hypothesis import given, settings
@@ -520,39 +519,27 @@ class TestRunExperiment:
         assert strict_summary["thresholds_met"] is False
 
     def test_never_more_workers_than_trials(self, monkeypatch):
-        built = []
+        started = []
 
-        class InProcessPool:
-            # Records the pool size and maps in-process: no process starts.
-            # ``_broken`` and ``_processes`` are what harness reads of a real
-            # pool to tell whether it can be reused.
-            _broken = False
-            _processes: dict = {}
+        class CountedProcess(multiprocessing.Process):
+            def start(self):
+                started.append(self)
+                super().start()
 
-            def __init__(self, max_workers):
-                built.append(max_workers)
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-            def shutdown(self):
-                pass
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        # This process runs a share too, so a campaign on w workers starts w - 1.
+        monkeypatch.setattr(harness, "Process", CountedProcess)
         cfg = ExperimentConfig(experiment="bins_concentration", n=50, trials=3, seed=1)
         assert run_experiment(cfg, jobs=8) == run_experiment(cfg, jobs=1)
-        assert built == [3]
+        assert len(started) == 2
         five = ExperimentConfig(experiment="bins_concentration", n=50, trials=5, seed=1)
         assert run_experiment(five, jobs=2) == run_experiment(five, jobs=1)
-        assert built == [3, 2]
-        assert run_experiment(five, jobs=2) == run_experiment(five, jobs=1)
-        assert built == [3, 2]
+        assert len(started) == 3
 
     def test_one_trial_builds_no_pool_at_any_jobs(self, monkeypatch):
-        def refuse(max_workers):
-            raise AssertionError(f"pool built with {max_workers} workers")
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker process was started")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(harness, "Process", refuse)
         one = ExperimentConfig(experiment="bins_concentration", n=50, seed=1)
         assert run_experiment(one, jobs=4) == run_experiment(one, jobs=1)
 
@@ -568,35 +555,47 @@ class TestRunExperiment:
             default_jobs()
 
 
-def _worker_pids() -> list[int]:
-    # The test process starts no other multiprocessing children.
-    return sorted(p.pid for p in multiprocessing.active_children())
+def _in_worker() -> bool:
+    return multiprocessing.parent_process() is not None
 
 
-def _exit_worker(cfg, plan, rng, aux):
-    os._exit(1)
+def _raise_in_worker(cfg, plan, rng, aux):
+    if _in_worker():
+        raise ValueError("trial failed in a worker")
+    return harness._bins_trial(cfg, plan, rng, aux)
 
 
-class TestWorkerPool:
-    """The one pool per process that campaigns at ``jobs`` >= 2 share."""
+def _killed_in_worker(cfg, plan, rng, aux):
+    if _in_worker():
+        os.kill(os.getpid(), signal.SIGKILL)
+    return harness._bins_trial(cfg, plan, rng, aux)
+
+
+def _raise_here_while_workers_sleep(cfg, plan, rng, aux):
+    if _in_worker():
+        time.sleep(60)
+    raise ValueError("trial failed in the campaign's own process")
+
+
+class TestWorkers:
+    """Campaigns at ``jobs`` >= 2 share their trials with forked workers."""
 
     CFG = ExperimentConfig(experiment="bins_concentration", n=200, trials=6, seed=5)
 
-    def test_consecutive_campaigns_run_on_the_same_workers(self):
-        serial = run_experiment(self.CFG, jobs=1)
-        assert run_experiment(self.CFG, jobs=2) == serial
-        first = _worker_pids()
-        assert len(first) == 2
-        assert run_experiment(self.CFG, jobs=2) == serial
-        assert _worker_pids() == first
+    def with_trial(self, monkeypatch, trial):
+        # Workers fork from this process, so they see the patched table.
+        kind = harness._KINDS["bins_concentration"]
+        patched = replace(kind, trial=trial)
+        monkeypatch.setitem(harness._KINDS, "bins_concentration", patched)
 
-    def test_replaced_pools_emit_the_serial_bytes(self, tmp_path):
+    def test_any_jobs_emits_the_serial_bytes_and_leaves_no_worker(self, tmp_path):
         cfg = ExperimentConfig(
             experiment="bins_concentration", n=[50, 100], trials=4, seed=9
         )
 
         def emitted(jobs: int) -> bytes:
             result = run_experiment(cfg, jobs=jobs)
+            assert multiprocessing.active_children() == []
             blobs = []
             for fmt in ("csv", "json"):
                 path = tmp_path / f"{jobs}.{fmt}"
@@ -605,39 +604,36 @@ class TestWorkerPool:
             return b"\n".join(blobs)
 
         serial = emitted(1)
-        pools = []
         for jobs in (2, 3, 2):
             assert emitted(jobs) == serial
-            pools.append(_worker_pids())
-        assert [len(pids) for pids in pools] == [2, 3, 2]
-        assert not set(pools[0]) & set(pools[1])
-        assert not set(pools[1]) & set(pools[2])
 
-    def test_worker_killed_while_idle_does_not_fail_the_next_campaign(self):
+    def test_worker_error_propagates_and_the_next_campaign_runs(self, monkeypatch):
         serial = run_experiment(self.CFG, jobs=1)
-        assert run_experiment(self.CFG, jobs=2) == serial
-        # The victim may or may not hold the task queue's lock, and the pool's
-        # own thread may or may not have seen the death when the next campaign
-        # starts; repeat to meet more of these cases.
-        for _ in range(3):
-            victim = multiprocessing.active_children()[0]
-            os.kill(victim.pid, signal.SIGKILL)
-            assert wait([victim.sentinel], timeout=30), "killed worker did not exit"
-            assert run_experiment(self.CFG, jobs=2) == serial
-            assert victim.pid not in _worker_pids()
-
-    def test_broken_pool_propagates_and_the_next_campaign_runs(self, monkeypatch):
-        serial = run_experiment(self.CFG, jobs=1)
-        kind = harness._KINDS["bins_concentration"]
-        # Workers fork at the first parallel campaign, so they see this trial.
-        monkeypatch.setitem(
-            harness._KINDS, "bins_concentration", replace(kind, trial=_exit_worker)
-        )
-        with pytest.raises(BrokenProcessPool):
+        self.with_trial(monkeypatch, _raise_in_worker)
+        with pytest.raises(ValueError, match="failed in a worker") as caught:
             run_experiment(self.CFG, jobs=2)
+        assert "_raise_in_worker" in str(caught.value.__cause__)
+        assert multiprocessing.active_children() == []
         monkeypatch.undo()
         assert run_experiment(self.CFG, jobs=2) == serial
-        assert run_experiment(self.CFG, jobs=2) == serial
+
+    def test_killed_worker_fails_the_campaign_and_the_next_one_runs(self, monkeypatch):
+        serial = run_experiment(self.CFG, jobs=1)
+        self.with_trial(monkeypatch, _killed_in_worker)
+        killed = f"exited with code -{int(signal.SIGKILL)}"
+        with pytest.raises(RuntimeError, match=killed):
+            run_experiment(self.CFG, jobs=3)
+        assert multiprocessing.active_children() == []
+        monkeypatch.undo()
+        assert run_experiment(self.CFG, jobs=3) == serial
+
+    def test_error_here_kills_the_workers(self, monkeypatch):
+        self.with_trial(monkeypatch, _raise_here_while_workers_sleep)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="own process"):
+            run_experiment(self.CFG, jobs=2)
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
 
 
 class TestEmit:

@@ -12,8 +12,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from degreelab.harness import EXPERIMENTS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -73,18 +71,3 @@ def test_trials_import_nothing_after_the_cli():
         "print(json.dumps(added))\n"
     )
     assert added == {kind: [] for kind in EXPERIMENTS}
-
-
-def test_campaign_workers_exit_with_the_interpreter():
-    pids = run_fresh(
-        "import json, multiprocessing\n"
-        "from degreelab.harness import ExperimentConfig, run_experiment\n"
-        "cfg = ExperimentConfig(experiment='bins_concentration', n=50, trials=4, seed=1)\n"
-        "run_experiment(cfg, jobs=2)\n"
-        "run_experiment(cfg, jobs=2)\n"
-        "print(json.dumps(sorted(p.pid for p in multiprocessing.active_children())))\n"
-    )
-    assert len(pids) == 2
-    for pid in pids:
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
