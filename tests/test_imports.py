@@ -55,7 +55,7 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_trials_import_nothing_after_the_cli():
-    # Forked pool workers inherit the parent's modules; a trial that imports
+    # Forked campaign workers inherit the parent's modules; a trial that imports
     # lazily makes every worker import again.
     assert set(TINY_CONFIGS) == set(EXPERIMENTS)
     added = run_fresh(
