@@ -24,7 +24,6 @@ from degreelab.balls_bins import loads as bin_loads
 from degreelab.balls_bins import max_load, sample_locations
 from degreelab.dense_ops import sweep_ratio_bounds
 from degreelab.graphs import (
-    ENUMERATION_LIMIT,
     SimpleGraph,
     decompose,
     format_edge_list,
@@ -35,20 +34,6 @@ from degreelab.graphs import (
 from degreelab.pruefer import decode, sample_codeword, sample_forest_degrees
 from degreelab.rng import derive_rng
 from degreelab.samplers import build_complex_part, sample_gnm, sample_noncomplex
-
-
-def _enumeration_order(text: str) -> int:
-    """argparse type for the exhaustive sweeps' vertex count, 1..ENUMERATION_LIMIT."""
-    span = f"1..{ENUMERATION_LIMIT}"
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer in {span}, got {text!r}"
-        ) from None
-    if not 1 <= n <= ENUMERATION_LIMIT:
-        raise argparse.ArgumentTypeError(f"must lie in {span}, got {n}")
-    return n
 
 
 def _edge_list(path: str) -> SimpleGraph:
@@ -82,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_nu.add_argument("--interval", action="store_true", help="predicted window for n, m")
     p_nu.add_argument("--m", type=int, help="edge count (with --interval)")
     p_nu.add_argument("--eps", type=float, help="window half-width (with --interval)")
-    p_nu.add_argument("--tol", type=float, default=conc.DEFAULT_TOL)
     p_nu.set_defaults(handler=_cmd_nu, parser=p_nu)
 
     p_sample = sub.add_parser("sample", help="draw one random structure")
@@ -140,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="exhaustive class enumeration")
     enum_sub = p_enum.add_subparsers(dest="what", required=True)
     p_ratio = enum_sub.add_parser("dense-ratio", help="degree-raising ratio sweep")
-    p_ratio.add_argument("--n", type=_enumeration_order, required=True)
+    p_ratio.add_argument("--n", type=int, required=True)
     p_ratio.add_argument("--planar", action="store_true", help="restrict to planar graphs")
     p_ratio.set_defaults(handler=_cmd_enumerate, parser=p_ratio)
 
@@ -169,7 +153,7 @@ def _cmd_nu(args: argparse.Namespace) -> int:
     if args.interval:
         if args.m is None or args.eps is None:
             raise ValueError("nu --interval needs --m and --eps")
-        interval = conc.predicted_interval_sparse(args.n, args.m, args.eps, args.tol)
+        interval = conc.predicted_interval_sparse(args.n, args.m, args.eps)
         print(
             json.dumps(
                 {
@@ -181,11 +165,11 @@ def _cmd_nu(args: argparse.Namespace) -> int:
         )
         return 0
     if args.hat:
-        print(repr(conc.balanced_concentration(args.n, args.tol)))
+        print(repr(conc.balanced_concentration(args.n)))
         return 0
     if args.k is None:
         raise ValueError("nu needs --k (or --hat / --interval)")
-    print(repr(conc.concentration_point(args.n, args.k, args.tol)))
+    print(repr(conc.concentration_point(args.n, args.k)))
     return 0
 
 
@@ -259,9 +243,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     checks = sweep_ratio_bounds(args.n, planar_only=args.planar)
     print("m,k,l,d,count_src,count_dst,bound,holds")
     for check in checks:
-        sig = check.signature
         print(
-            f"{sig.m},{sig.k},{sig.l},{sig.d},{check.count_src},"
+            f"{check.m},{check.k},{check.l},{check.d},{check.count_src},"
             f"{check.count_dst},{check.bound!r},{'true' if check.holds else 'false'}"
         )
     if not checks:

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-DEFAULT_TOL = 1e-9
-
 #: Window half-width such that a +/- eps window is guaranteed to span at most
 #: two consecutive integers after flooring.
 TWO_POINT_EPS = 1.0 / 3.0
@@ -53,39 +51,35 @@ def load_exponent(x: float, n_bins: int, n_balls: int) -> float:
     )
 
 
-def concentration_point(n_bins: int, n_balls: int, tol: float = DEFAULT_TOL) -> float:
+def concentration_point(n_bins: int, n_balls: int) -> float:
     """Unique positive zero of ``load_exponent`` for the given bin/ball counts.
 
-    Solved by bracketed bisection: the exponent is positive at x = 1 (it
-    equals log(n_balls) + 1 there), so the zero is bracketed by [1, x_hi]
-    where x_hi doubles until the exponent goes negative, and the bracket is
-    bisected until its width is at most ``tol``, or until its ends are
-    adjacent floats (above x ~ 8e6 their spacing exceeds the default tol).
-    The returned value always exceeds 1.
+    Solved by bracketed bisection to float resolution: the exponent is
+    positive at x = 1 (it equals log(n_balls) + 1 there), so the zero is
+    bracketed by [1, x_hi] where x_hi doubles until the exponent goes
+    negative, and the bracket is bisected until its ends are adjacent
+    floats.  The returned value always exceeds 1.
     """
     _validate_counts(n_bins, n_balls)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
 
     lo = 1.0
     hi = 2.0
     while load_exponent(hi, n_bins, n_balls) > 0.0:
         lo = hi
         hi *= 2.0
-    while hi - lo > tol:
+    while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            break
+            return mid
         if load_exponent(mid, n_bins, n_balls) > 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
-def balanced_concentration(n: int, tol: float = DEFAULT_TOL) -> float:
+def balanced_concentration(n: int) -> float:
     """Concentration point for the balanced case of n balls in n bins."""
-    return concentration_point(n, n, tol)
+    return concentration_point(n, n)
 
 
 @dataclass(frozen=True)
@@ -105,20 +99,21 @@ class PredictedInterval:
             raise ValueError(f"lo={self.lo} exceeds hi={self.hi}")
 
 
-def predicted_interval_sparse(
-    n: int, m: int, eps: float, tol: float = DEFAULT_TOL
-) -> PredictedInterval:
+def predicted_interval_sparse(n: int, m: int, eps: float) -> PredictedInterval:
     """Predicted max-degree window for a uniform planar graph below n/2 edges.
 
-    Valid when m <= n/2 + O(n^{2/3}); only m >= 1 is checked here.  The
-    window is [floor(c - eps), floor(c + eps)] with c the concentration point
-    for 2m balls in n bins, and delta_star = floor(c - 1/3).
+    Valid when m <= n/2 + O(n^{2/3}); only m >= 1 and a finite eps >= 0
+    are checked here.  The window is [floor(c - eps), floor(c + eps)] with c
+    the concentration point for 2m balls in n bins, and
+    delta_star = floor(c - 1/3).
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
     if eps < 0:
         raise ValueError(f"eps must be non-negative, got {eps}")
-    c = concentration_point(n, 2 * m, tol)
+    c = concentration_point(n, 2 * m)
     return PredictedInterval(
         lo=math.floor(c - eps),
         hi=math.floor(c + eps),

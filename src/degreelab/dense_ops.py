@@ -35,17 +35,6 @@ from degreelab.graphs import (
 
 
 @dataclass(frozen=True)
-class ClassSignature:
-    """Parameters (n, m, k, l, d) identifying one labelled graph class."""
-
-    n: int
-    m: int
-    k: int
-    l: int
-    d: int
-
-
-@dataclass(frozen=True)
 class Witness:
     """Vertices consumed by one application of the degree-raising operation.
 
@@ -212,11 +201,6 @@ def enumerate_class(
     n: int, m: int, k: int, l: int, d: int, planar_only: bool = True
 ) -> int:
     """Exact size of P(n, m, k, l, d), optionally restricted to planar graphs."""
-    if not 1 <= n <= ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"exhaustive enumeration is limited to 1 <= n <= {ENUMERATION_LIMIT}, "
-            f"got {n}"
-        )
     if m < 0 or m > n * (n - 1) // 2:
         raise ValueError(f"m must lie in [0, n(n-1)/2], got {m}")
     if not 0 <= k <= n:
@@ -233,9 +217,14 @@ def enumerate_class(
 
 @dataclass(frozen=True)
 class RatioCheck:
-    """Outcome of one ratio-bound check between a class and its image class."""
+    """Outcome of one ratio-bound check of the source class P(n, m, k, l, d)
+    against its image class P(n, m, k+3, l-2, d+1)."""
 
-    signature: ClassSignature
+    n: int
+    m: int
+    k: int
+    l: int
+    d: int
     count_src: int
     count_dst: int
     bound: float
@@ -266,42 +255,26 @@ def verify_ratio_bound(
     bound = 1.0 / (8.0 * k**3)
     vacuous = count_src == 0
     holds = vacuous or (count_dst / count_src >= bound)
-    return RatioCheck(
-        signature=ClassSignature(n=n, m=m, k=k, l=l, d=d),
-        count_src=count_src,
-        count_dst=count_dst,
-        bound=bound,
-        holds=holds,
-        vacuous=vacuous,
-    )
+    return RatioCheck(n, m, k, l, d, count_src, count_dst, bound, holds, vacuous)
 
 
 def sweep_ratio_bounds(n: int, planar_only: bool = True) -> list[RatioCheck]:
-    """Ratio checks for every hypothesis-satisfying signature on [n].
+    """Sorted ratio checks of the signatures on [n] whose class or image is tabled.
 
-    Covers all (m, k, l, d) with k >= 1, l >= 2, d >= 3 for which the source
-    or the image class is nonempty.  For n <= 8 there is none, and the list
-    is empty: a nonempty source class needs k + 2l + d + 1 >= 9 vertices,
-    and a nonempty image class k >= 4 isolated vertices plus one of degree
-    at least 4, nine again.  So at every n of the exhaustive table the
-    sweep checks nothing.
+    A signature (m, k, l, d) is checked iff it meets the hypotheses k >= 1,
+    2 <= l <= n//2 and d >= 3, and it or its image (m, k+3, l-2, d+1) is a
+    key of ``classify_all_graphs(n)``, that is a nonempty class over all
+    graphs.  For n <= 8 there is none, and the list is empty: a nonempty
+    source class needs k + 2l + d + 1 >= 9 vertices, and a nonempty image
+    class k >= 4 isolated vertices plus one of degree at least 4, nine
+    again.  So at every n of the exhaustive table the sweep checks nothing.
     """
-    table = classify_all_graphs(n)
-    checks: list[RatioCheck] = []
-    seen: set[tuple[int, int, int, int]] = set()
-    for (m, k, l, d) in sorted(table):
-        candidates = [(m, k, l, d)]
-        # A nonempty image class P(n, m, k, l, d) corresponds to the source
-        # signature (m, k - 3, l + 2, d - 1).
-        if k >= 4 and d >= 4 and l + 2 <= n // 2:
-            candidates.append((m, k - 3, l + 2, d - 1))
-        for m_c, k_c, l_c, d_c in candidates:
-            if (m_c, k_c, l_c, d_c) in seen:
-                continue
-            if k_c >= 1 and l_c >= 2 and d_c >= 3:
-                seen.add((m_c, k_c, l_c, d_c))
-                checks.append(verify_ratio_bound(n, m_c, k_c, l_c, d_c, planar_only))
-    checks.sort(
-        key=lambda c: (c.signature.m, c.signature.k, c.signature.l, c.signature.d)
-    )
-    return checks
+    sources: set[tuple[int, int, int, int]] = set()
+    for m, k, l, d in classify_all_graphs(n):
+        sources.add((m, k, l, d))
+        sources.add((m, k - 3, l + 2, d - 1))
+    return [
+        verify_ratio_bound(n, m, k, l, d, planar_only)
+        for m, k, l, d in sorted(sources)
+        if k >= 1 and 2 <= l <= n // 2 and d >= 3
+    ]

@@ -417,9 +417,9 @@ def _dense_ratio_sweep(cfg, plan) -> list[TrialRecord]:
     records = []
     for i, check in enumerate(checks):
         ratio = check.count_dst / check.count_src if check.count_src else None
-        sig = check.signature
-        aux = dict(m=sig.m, k=sig.k, l=sig.l, d=sig.d, count_src=check.count_src,
-                   count_dst=check.count_dst, bound=check.bound, vacuous=check.vacuous)
+        aux = dict(m=check.m, k=check.k, l=check.l, d=check.d,
+                   count_src=check.count_src, count_dst=check.count_dst,
+                   bound=check.bound, vacuous=check.vacuous)
         records.append(TrialRecord(i, ratio, None, None, check.holds, aux))
     return records
 

@@ -421,7 +421,7 @@ def test_criterion_09_dense_ratio_sweep():
 
 def _nu_checked(n_bins: int, n_balls: int) -> float:
     """Concentration point plus the residual gate |f(value)| <= 1e-8."""
-    value = concentration_point(n_bins, n_balls, tol=1e-9)
+    value = concentration_point(n_bins, n_balls)
     residual = load_exponent(value, n_bins, n_balls)
     assert abs(residual) <= 1e-8, (n_bins, n_balls, residual)
     return value
@@ -443,7 +443,7 @@ def test_criterion_10b_zero_is_bracketed_and_residual_small():
     for _ in range(200):
         n = int(rng.integers(2, 10**8))
         k = int(rng.integers(1, 10**8))
-        value = concentration_point(n, k, tol=tol)
+        value = concentration_point(n, k)
         assert load_exponent(value - tol, n, k) > 0.0 > load_exponent(value + tol, n, k)
         assert abs(load_exponent(value, n, k)) <= 10 * tol
     announce("10b", True, "sign change within tol and |residual| <= 10*tol")
@@ -452,15 +452,13 @@ def test_criterion_10b_zero_is_bracketed_and_residual_small():
 def test_criterion_10c_increasing_in_ball_count():
     for n in (10**4, 10**6, 10**8):
         for k in (1, 5, 100, n // 3, n, 2 * n):
-            assert concentration_point(n, k, 1e-12) < concentration_point(
-                n, k + 1, 1e-12
-            )
+            assert concentration_point(n, k) < concentration_point(n, k + 1)
     announce("10c", True, "strictly increasing in the ball count")
 
 
 def test_criterion_10d_balanced_strictly_increasing():
     grid = (2, 3, 7, 8, 100, 101, 10**4, 10**4 + 1, 10**6, 10**6 + 1)
-    values = [balanced_concentration(n, 1e-12) for n in grid]
+    values = [balanced_concentration(n) for n in grid]
     assert all(a < b for a, b in zip(values, values[1:]))
     announce("10d", True, "balanced point strictly increasing")
 

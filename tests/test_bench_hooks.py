@@ -1,9 +1,9 @@
 """The benchmark's tracer must find every degreelab name it wraps.
 
-``perfbench/tracing.py`` wraps module-level functions by name and patches
-three ``SimpleGraph`` attributes.  Installing and removing it here makes a
-deleted or retyped name fail the test suite, not only the benchmark's
-traced pass.
+``perfbench/tracing.py`` wraps module-level functions by name, patches
+three ``SimpleGraph`` attributes and reads fields of the results it counts.
+Installing and removing it here makes a deleted or retyped name fail the
+test suite, not only the benchmark's traced pass.
 """
 
 from __future__ import annotations
@@ -14,8 +14,12 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
 import degreelab.cli  # noqa: F401  (imports every module the tracer wraps)
+from degreelab import dense_ops, samplers
 from degreelab.graphs import SimpleGraph
+from degreelab.rng import derive_rng
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -74,3 +78,34 @@ def test_tracer_wraps_and_restores_every_hook(monkeypatch):
     assert same_objects(bindings(), before)
     for attr, original in hooks.items():
         assert SimpleGraph.__dict__[attr] is original, attr
+
+
+def test_tracer_reads_the_fields_it_counts(monkeypatch):
+    # The tracer counts RejectionReport.attempts, .accepted and
+    # .reject_reasons of every G(n, m) run, returned or raised, and
+    # RatioCheck.vacuous of every sweep.  Real sweeps on n <= 7 are empty,
+    # so a two-key table gives one nonempty and one vacuous check.
+    table = {(5, 1, 2, 3): (4, 3), (6, 4, 0, 4): (1, 1)}
+    monkeypatch.setattr(dense_ops, "classify_all_graphs", lambda n: table)
+    tracing = load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.active = True
+        _, _, _, report = samplers.sample_gnm_arrays(10, 5, derive_rng(1, 0))
+        with pytest.raises(samplers.RejectionLimitError) as failed:
+            samplers.sample_gnm_arrays(10, 40, derive_rng(1, 0), max_attempts=1)
+        checks = dense_ops.sweep_ratio_bounds(7)
+    finally:
+        tracer.uninstall()
+
+    reports = (report, failed.value.report)
+    assert [r.accepted for r in reports] == [True, False]
+    assert [c.vacuous for c in checks] == [False, True]
+    counts = tracer.counts
+    assert counts["samplers.attempts"] == sum(r.attempts for r in reports)
+    assert counts["samplers.accepted"] == 1
+    for reason in report.reject_reasons:
+        total = sum(r.reject_reasons[reason] for r in reports)
+        assert counts[f"samplers.reject.{reason}"] == total
+    assert (counts["dense_ops.checks"], counts["dense_ops.vacuous"]) == (2, 1)

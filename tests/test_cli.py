@@ -249,9 +249,14 @@ class TestRefusedValues:
                 "m must be a positive integer, got 0",
             ),
             (
-                ["nu", "--n", "10", "--k", "10", "--tol", "0"],
+                ["nu", "--n", "10", "--interval", "--m", "5", "--eps", "inf"],
                 None,
-                "tol must be positive, got 0.0",
+                "eps must be finite, got inf",
+            ),
+            (
+                ["nu", "--n", "10", "--interval", "--m", "5", "--eps", "nan"],
+                None,
+                "eps must be finite, got nan",
             ),
             (["nu", "--n", "10"], None, "nu needs --k (or --hat / --interval)"),
             (
@@ -326,9 +331,9 @@ class TestEnumerateCommand:
     @pytest.mark.parametrize(
         "value,message",
         [
-            ("8", "must lie in 1..7, got 8"),
-            ("0", "must lie in 1..7, got 0"),
-            ("seven", "must be an integer in 1..7, got 'seven'"),
+            ("8", "exhaustive classification is limited to 1 <= n <= 7, got 8"),
+            ("0", "exhaustive classification is limited to 1 <= n <= 7, got 0"),
+            ("seven", "argument --n: invalid int value: 'seven'"),
         ],
     )
     def test_out_of_range_n_is_a_usage_error(self, capsys, value, message):
@@ -337,7 +342,8 @@ class TestEnumerateCommand:
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"argument --n: {message}" in captured.err
+        assert captured.err.startswith("usage: degreelab enumerate dense-ratio ")
+        assert f"error: {message}" in captured.err
 
 
 class TestExperimentCommand:

@@ -72,22 +72,17 @@ class TestConcentrationPoint:
         for _ in range(100):
             n = int(rng.integers(2, 10**8))
             k = int(rng.integers(1, 10**8))
-            value = concentration_point(n, k, tol=1e-9)
-            # |f| <= |f'| * tol/2 near the zero; 20 covers every slope on
-            # this range of inputs.
+            value = concentration_point(n, k)
+            # The bracket ends at adjacent floats, so |f| is at most |f'|
+            # times one float spacing; 20e-9 covers every slope on this
+            # range of inputs.
             assert abs(load_exponent(value, n, k)) <= 20 * 1e-9
 
     def test_terminates_when_floats_cannot_resolve_tol(self):
-        # Near x = 2.7e9 adjacent floats lie 4.8e-7 apart, far above tol:
-        # the bisection stops at adjacent ends instead of looping forever.
+        # Near x = 2.7e9 adjacent floats lie 4.8e-7 apart: the bisection
+        # stops at adjacent ends instead of looping forever.
         value = concentration_point(10**9, 10**18)
         assert abs(load_exponent(value, 10**9, 10**18)) < 1e-3
-
-    def test_rejects_non_positive_tol(self):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            concentration_point(100, 100, tol=0.0)
-        with pytest.raises(ValueError, match="tol must be positive"):
-            concentration_point(100, 100, tol=-1e-9)
 
     def test_balanced_shorthand_matches(self):
         assert balanced_concentration(12345) == concentration_point(12345, 12345)
@@ -99,7 +94,7 @@ class TestConcentrationPoint:
         for _ in range(50):
             n = int(rng.integers(2, 10**8))
             k = int(rng.integers(1, 10**8))
-            ours = concentration_point(n, k, tol=1e-12)
+            ours = concentration_point(n, k)
             hi = 2.0
             while load_exponent(hi, n, k) > 0:
                 hi *= 2.0
@@ -111,15 +106,13 @@ class TestConcentrationPoint:
     def test_strictly_increasing_in_ball_count(self):
         for n in (10**3, 10**6):
             for k in (1, 2, 10, n // 2, n, 2 * n):
-                a = concentration_point(n, k, tol=1e-12)
-                b = concentration_point(n, k + 1, tol=1e-12)
+                a = concentration_point(n, k)
+                b = concentration_point(n, k + 1)
                 assert a < b
 
     def test_balanced_strictly_increasing(self):
-        values = [
-            balanced_concentration(n, tol=1e-12)
-            for n in (2, 3, 10, 11, 100, 101, 10**6, 10**6 + 1)
-        ]
+        sizes = (2, 3, 10, 11, 100, 101, 10**6, 10**6 + 1)
+        values = [balanced_concentration(n) for n in sizes]
         for a, b in zip(values, values[1:]):
             assert a < b
 
@@ -159,6 +152,12 @@ class TestPredictedIntervals:
     def test_sparse_rejects_bad_arguments(self, m, eps, message):
         with pytest.raises(ValueError, match=message):
             predicted_interval_sparse(100, m, eps)
+
+    @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan])
+    def test_sparse_rejects_non_finite_eps(self, eps):
+        # floor(c + eps) would raise OverflowError or ValueError from math.
+        with pytest.raises(ValueError, match=f"eps must be finite, got {eps}"):
+            predicted_interval_sparse(100, 5, eps)
 
     def test_anchor_is_window_low_end_at_two_point_eps(self):
         rng = np.random.default_rng(5)

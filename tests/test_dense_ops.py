@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+import csv
+import io
+from dataclasses import astuple
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from degreelab import dense_ops
+from degreelab.cli import main
 from degreelab.dense_ops import (
     EnumerationLimitError,
     Witness,
@@ -23,6 +30,7 @@ from degreelab.graphs import (
     max_degree,
     planarity_table,
 )
+from degreelab.harness import ExperimentConfig, run_experiment
 
 from oracles import (
     bitwise_class_tally,
@@ -223,6 +231,124 @@ class TestRatioBound:
         for n in range(1, 8):
             for planar_only in (True, False):
                 assert sweep_ratio_bounds(n, planar_only) == []
+
+
+#: A synthetic n = 7 table, keyed by (m, k, l, d) with (all, planar) counts.
+#: (5, 1, 2, 3) is a source with its image (5, 4, 0, 4); (6, 4, 0, 4) is an
+#: image whose source (6, 1, 2, 3) is absent, a vacuous check; (7, 2, 2, 3)
+#: is a source with no image, a violation; (0, 7, 0, 0) meets no hypothesis.
+SYNTHETIC_TABLE = {
+    (0, 7, 0, 0): (1, 1),
+    (5, 1, 2, 3): (40, 30),
+    (5, 4, 0, 4): (10, 6),
+    (6, 4, 0, 4): (12, 8),
+    (7, 2, 2, 3): (1000, 1000),
+}
+
+#: The checks the synthetic table yields, in order, for planar_only False and
+#: True: (m, k, l, d, count_src, count_dst, bound, holds, vacuous).
+SYNTHETIC_CHECKS = {
+    False: [
+        (5, 1, 2, 3, 40, 10, 1 / 8, True, False),
+        (6, 1, 2, 3, 0, 12, 1 / 8, True, True),
+        (7, 2, 2, 3, 1000, 0, 1 / 64, False, False),
+    ],
+    True: [
+        (5, 1, 2, 3, 30, 6, 1 / 8, True, False),
+        (6, 1, 2, 3, 0, 8, 1 / 8, True, True),
+        (7, 2, 2, 3, 1000, 0, 1 / 64, False, False),
+    ],
+}
+
+
+class TestSweepOnASyntheticTable:
+    """Every real table on n <= 7 gives an empty sweep, so these tests swap
+    in a synthetic one and follow its checks through the library, the
+    ``dense_ratio`` campaign and ``enumerate dense-ratio``."""
+
+    @pytest.fixture(autouse=True)
+    def synthetic_table(self, monkeypatch):
+        monkeypatch.setattr(dense_ops, "classify_all_graphs", lambda n: SYNTHETIC_TABLE)
+
+    @pytest.mark.parametrize("planar_only", [False, True])
+    def test_checks(self, planar_only):
+        checks = sweep_ratio_bounds(7, planar_only)
+        assert [astuple(c) for c in checks] == [
+            (7, *row) for row in SYNTHETIC_CHECKS[planar_only]
+        ]
+
+    @pytest.mark.parametrize("planar_only", [False, True])
+    def test_campaign_records(self, planar_only):
+        cfg = ExperimentConfig(experiment="dense_ratio", n=7, planar_only=planar_only)
+        result = run_experiment(cfg)
+        expected = SYNTHETIC_CHECKS[planar_only]
+        assert [r.trial_index for r in result.records] == [0, 1, 2]
+        for record, (m, k, l, d, src, dst, bound, holds, vacuous) in zip(
+            result.records, expected
+        ):
+            assert record.observed == (dst / src if src else None)
+            assert (record.lo, record.hi, record.in_interval) == (None, None, holds)
+            assert record.auxiliary == dict(
+                m=m, k=k, l=l, d=d, count_src=src, count_dst=dst, bound=bound,
+                vacuous=vacuous,
+            )
+        assert result.summary["violations"] == 1
+        assert result.summary["vacuous"] == 1
+
+    @pytest.mark.parametrize("planar_only", [False, True])
+    def test_cli_rows(self, capsys, planar_only):
+        argv = ["enumerate", "dense-ratio", "--n", "7"]
+        code = main(argv + ["--planar"] if planar_only else argv)
+        captured = capsys.readouterr()
+        assert code == 1  # one check fails
+        assert captured.err == ""
+        rows = list(csv.reader(io.StringIO(captured.out)))
+        assert rows[0] == ["m", "k", "l", "d", "count_src", "count_dst", "bound", "holds"]
+        assert rows[1:] == [
+            [*map(str, (m, k, l, d, src, dst)), repr(bound), str(holds).lower()]
+            for m, k, l, d, src, dst, bound, holds, _ in SYNTHETIC_CHECKS[planar_only]
+        ]
+
+
+@st.composite
+def synthetic_tables(draw):
+    """A table on [n], n <= 14, with keys in the ranges enumerate_class accepts."""
+    n = draw(st.integers(1, 14))
+    key = st.tuples(
+        st.integers(0, n * (n - 1) // 2),
+        st.integers(0, n),
+        st.integers(0, n // 2),
+        st.integers(0, n - 1),
+    )
+    counts = st.tuples(st.integers(1, 50), st.integers(0, 50)).map(
+        lambda c: (c[0], min(c))
+    )
+    return n, draw(st.dictionaries(key, counts, max_size=40))
+
+
+@settings(deadline=None)
+@given(drawn=synthetic_tables(), planar_only=st.booleans())
+def test_sweep_checks_exactly_the_signatures_its_docstring_names(drawn, planar_only):
+    # A signature is checked iff it meets the hypotheses and it or its image
+    # is a table key; checks come in signature order with the table's counts.
+    n, table = drawn
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dense_ops, "classify_all_graphs", lambda _: table)
+        checks = sweep_ratio_bounds(n, planar_only)
+    expected = [
+        (m, k, l, d)
+        for m, k, l, d in product(
+            range(n * (n - 1) // 2 + 1), range(1, n + 1), range(2, n // 2 + 1),
+            range(3, n),
+        )
+        if (m, k, l, d) in table or (m, k + 3, l - 2, d + 1) in table
+    ]
+    assert [(c.m, c.k, c.l, c.d) for c in checks] == expected
+    column = 1 if planar_only else 0
+    for c in checks:
+        assert c.count_src == table.get((c.m, c.k, c.l, c.d), (0, 0))[column]
+        image = (c.m, c.k + 3, c.l - 2, c.d + 1)
+        assert c.count_dst == table.get(image, (0, 0))[column]
 
 
 def _assemble_source_graph(iso, matching, star_center, star_leaves):
