@@ -209,9 +209,10 @@ class TrialRecord:
     """One trial outcome: observed statistic, predicted window, extras.
 
     ``observed`` is None when the trial's sampler exhausted its attempt
-    budget; such trials never count as in-window.  ``lo``/``hi`` are None for
-    experiments without a prediction, in which case any observed value is
-    in-window.
+    budget; such trials never count as in-window.  A vacuous ``dense_ratio``
+    check (empty source class) has no ratio either, and counts as holding.
+    ``lo``/``hi`` are None for experiments without a prediction, in which
+    case any observed value is in-window.
     """
 
     trial_index: int
@@ -610,13 +611,21 @@ def run_experiment(
     return ExperimentResult(records=tuple(records), summary=_summarise(cfg, records))
 
 
+def _histogram_key(record: TrialRecord) -> str:
+    """The observed value, or why there is none: a vacuous ratio check has no
+    ratio to observe, and any other trial without one failed."""
+    if record.observed is not None:
+        return str(record.observed)
+    return "vacuous" if record.auxiliary.get("vacuous") else "failed"
+
+
 def _summarise(cfg: ExperimentConfig, records: Sequence[TrialRecord]) -> dict[str, Any]:
     hits = sum(1 for r in records if r.in_interval)
-    failures = sum(1 for r in records if r.observed is None)
     histogram: dict[str, int] = {}
     for r in records:
-        key = "failed" if r.observed is None else str(r.observed)
+        key = _histogram_key(r)
         histogram[key] = histogram.get(key, 0) + 1
+    failures = histogram.get("failed", 0)
     summary: dict[str, Any] = {
         "experiment": cfg.experiment,
         "config": cfg.to_dict(),

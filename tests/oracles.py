@@ -401,6 +401,10 @@ def graph_class_count_by_assembly(
     return placements * rest_count
 
 
+#: Labelled planar graphs on n = 1..7 vertices (OEIS A066537).
+PLANAR_GRAPH_COUNTS = {1: 1, 2: 2, 3: 8, 4: 64, 5: 1023, 6: 32071, 7: 1823707}
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive tables by per-mask sweeps
 # ---------------------------------------------------------------------------

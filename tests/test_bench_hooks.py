@@ -3,7 +3,9 @@
 ``perfbench/tracing.py`` wraps module-level functions by name, patches
 three ``SimpleGraph`` attributes and reads fields of the results it counts.
 Installing and removing it here makes a deleted or retyped name fail the
-test suite, not only the benchmark's traced pass.
+test suite, not only the benchmark's traced pass.  The ``enumeration``
+workload clears the caches of the two exhaustive tables before every round,
+so their ``cache_clear`` hooks are checked here as well.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import degreelab.cli  # noqa: F401  (imports every module the tracer wraps)
-from degreelab import dense_ops, samplers
+from degreelab import dense_ops, graphs, samplers
 from degreelab.graphs import SimpleGraph
 from degreelab.rng import derive_rng
 
@@ -109,3 +112,20 @@ def test_tracer_reads_the_fields_it_counts(monkeypatch):
         total = sum(r.reject_reasons[reason] for r in reports)
         assert counts[f"samplers.reject.{reason}"] == total
     assert (counts["dense_ops.checks"], counts["dense_ops.vacuous"]) == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "table, same",
+    [
+        (graphs.planarity_table, np.array_equal),
+        (dense_ops.classify_all_graphs, lambda a, b: dict(a) == dict(b)),
+    ],
+)
+def test_cleared_table_rebuilds_equal(table, same):
+    cached = table(7)
+    assert callable(getattr(table, "cache_clear", None))
+    table.cache_clear()
+    rebuilt = table(7)
+    assert rebuilt is not cached
+    assert same(rebuilt, cached)
+    assert table(7) is rebuilt

@@ -33,6 +33,7 @@ from degreelab.graphs import (
 from degreelab.harness import ExperimentConfig, run_experiment
 
 from oracles import (
+    PLANAR_GRAPH_COUNTS,
     bitwise_class_tally,
     graph_class_count_by_assembly,
     networkx_planar,
@@ -143,10 +144,11 @@ class TestEnumerateClass:
     def test_perfect_matchings_on_six(self):
         assert enumerate_class(6, 3, 0, 3, 1) == 15
 
-    def test_total_counts_are_all_graphs(self):
-        for n in (2, 3, 4, 5):
-            table = classify_all_graphs(n)
-            assert sum(v[0] for v in table.values()) == 1 << (n * (n - 1) // 2)
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_total_counts_are_all_graphs_and_planar_graphs(self, n):
+        table = classify_all_graphs(n)
+        assert sum(v[0] for v in table.values()) == 1 << (n * (n - 1) // 2)
+        assert sum(v[1] for v in table.values()) == PLANAR_GRAPH_COUNTS[n]
 
     def test_refuses_large_n(self):
         with pytest.raises(EnumerationLimitError):
@@ -185,10 +187,10 @@ class TestEnumerateClass:
 
 
 class TestClassifyAllGraphs:
-    """The doubling tally against the popcount tally it replaced."""
+    """The tally of doubled vertex and edge sets against per-code popcounts."""
 
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_doubling_tally_matches_popcount_tally(self, n):
+    def test_set_doubling_tally_matches_per_code_popcount_tally(self, n):
         expected = bitwise_class_tally(n, planarity_table(n))
         assert dict(classify_all_graphs(n)) == expected
 
@@ -294,6 +296,13 @@ class TestSweepOnASyntheticTable:
             )
         assert result.summary["violations"] == 1
         assert result.summary["vacuous"] == 1
+        # The vacuous check has no ratio, but it is not a failed trial.
+        assert result.summary["failures"] == 0
+        src, dst = expected[0][4:6]
+        assert result.summary["histogram"] == {
+            str(dst / src): 1, "0.0": 1, "vacuous": 1
+        }
+        assert result.summary["hits"] == 2
 
     @pytest.mark.parametrize("planar_only", [False, True])
     def test_cli_rows(self, capsys, planar_only):

@@ -34,6 +34,7 @@ from degreelab.pruefer import decode_arrays, sample_codeword, validate_forest
 from degreelab.samplers import complex_part_arrays, sample_gnm_arrays
 
 from oracles import (
+    PLANAR_GRAPH_COUNTS,
     bfs_components,
     dict_decompose,
     networkx_planar,
@@ -721,6 +722,19 @@ class TestPlanarityTable:
         table = planarity_table(n)
         assert table.shape == (1 << (n * (n - 1) // 2),)
         assert table.dtype == bool and table.all()
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_table_is_a_contiguous_read_only_bool_array(self, n):
+        # From n = 5 on the table is unpacked from 64-bit words.
+        table = planarity_table(n)
+        assert table.shape == (1 << (n * (n - 1) // 2),)
+        assert table.dtype == bool
+        assert table.flags.c_contiguous
+        assert not table.flags.writeable
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_planar_total_is_oeis_a066537(self, n):
+        assert int(planarity_table(n).sum()) == PLANAR_GRAPH_COUNTS[n]
 
     @pytest.mark.parametrize("n", [-1, 8])
     def test_refuses_out_of_range(self, n):
