@@ -105,9 +105,10 @@ class ExperimentConfig:
     grid point).  ``m`` defaults to n // 2 where an edge count is needed,
     ``balls`` defaults to n, ``t`` defaults to 1 for forest_maxdegree and to
     ceil(n^0.7) for root_gap.  ``core`` is an edge list on [v] for
-    complexpart_maxdegree, which uses ``q`` instead of ``n``.  Building a
-    config runs its kind's plan at every grid point, which checks the bounds
-    that depend on the kind.
+    complexpart_maxdegree, which uses ``q`` instead of ``n``.  Of ``n``,
+    ``m``, ``balls``, ``t``, ``q`` and ``core``, a config sets only those its
+    kind reads; None counts as unset.  Building a config runs its kind's plan
+    at every grid point, which checks the bounds that depend on the kind.
     """
 
     experiment: str
@@ -164,16 +165,19 @@ class ExperimentConfig:
         ):
             raise ValueError(f"min_hit_rate must lie in [0, 1], got {rate!r}")
         if self.core is not None:
-            order = _core_graph(self.core).order
+            _core_graph(self.core)
             object.__setattr__(
                 self, "core", tuple((int(u), int(v)) for u, v in self.core)
             )
-            if self.q is not None and self.q < order + 1:
+        kind = _KINDS[self.experiment]
+        for name in ("n", "m", "balls", "t", "q", "core"):
+            if getattr(self, name) is not None and name not in kind.reads:
                 raise ValueError(
-                    f"q must be at least v(core) + 1 = {order + 1}, got {self.q}"
+                    f"{name} must be left out for {self.experiment}, which reads "
+                    f"{', '.join(kind.reads)}, got {self.to_dict()[name]}"
                 )
         for n in self.n_grid:
-            _KINDS[self.experiment].plan(self, n)
+            kind.plan(self, n)
 
     @property
     def n_grid(self) -> tuple[int | None, ...]:
@@ -316,11 +320,8 @@ def _plan_forest(cfg: ExperimentConfig, n: int | None) -> dict[str, Any]:
 def _plan_complexpart(cfg: ExperimentConfig, n: int | None) -> dict[str, Any]:
     core = _core_graph(_given(cfg, "core", cfg.core))
     q = _given(cfg, "q", cfg.q)
-    if cfg.n is not None:
-        given = list(cfg.n) if isinstance(cfg.n, tuple) else cfg.n
-        raise ValueError(
-            f"n must be left out for {cfg.experiment}, which reads q, got {given}"
-        )
+    if q < core.order + 1:
+        raise ValueError(f"q must be at least v(core) + 1 = {core.order + 1}, got {q}")
     return {"q": q, "core": core, **_window(conc.balanced_concentration(q), cfg.eps, 1)}
 
 
@@ -467,6 +468,7 @@ def _decomposition_summary(records: Sequence[TrialRecord]) -> dict[str, Any]:
 class _Kind:
     """How one experiment kind runs; exactly one of ``trial`` and ``sweep`` is set."""
 
+    reads: tuple[str, ...]  # the optional config fields it reads; others are refused
     plan: Callable[[ExperimentConfig, int | None], dict[str, Any]]
     trial: Callable[..., int] | None = None
     sweep: Callable[[ExperimentConfig, dict[str, Any]], list[TrialRecord]] | None = None
@@ -474,19 +476,27 @@ class _Kind:
 
 
 _KINDS: dict[str, _Kind] = {
-    "bins_concentration": _Kind(_plan_bins, _bins_trial),
-    "gnm_maxdegree": _Kind(_plan_gnm, _gnm_trial),
+    "bins_concentration": _Kind(("n", "balls"), _plan_bins, _bins_trial),
+    "gnm_maxdegree": _Kind(("n", "m"), _plan_gnm, _gnm_trial),
     "noncomplex_maxdegree": _Kind(
-        _plan_noncomplex, partial(_gnm_trial, require_noncomplex=True)
+        ("n", "m"), _plan_noncomplex, partial(_gnm_trial, require_noncomplex=True)
     ),
-    "forest_maxdegree": _Kind(_plan_forest, _forest_trial),
-    "complexpart_maxdegree": _Kind(_plan_complexpart, _complexpart_trial),
-    "root_gap": _Kind(_plan_root_gap, _root_gap_trial),
+    "forest_maxdegree": _Kind(("n", "t"), _plan_forest, _forest_trial),
+    "complexpart_maxdegree": _Kind(
+        ("q", "core"), _plan_complexpart, _complexpart_trial
+    ),
+    "root_gap": _Kind(("n", "t"), _plan_root_gap, _root_gap_trial),
     "decomposition_stats": _Kind(
-        _plan_decomposition, _decomposition_trial, summary=_decomposition_summary
+        ("n", "m"),
+        _plan_decomposition,
+        _decomposition_trial,
+        summary=_decomposition_summary,
     ),
     "dense_ratio": _Kind(
-        _plan_dense_ratio, sweep=_dense_ratio_sweep, summary=_dense_ratio_summary
+        ("n",),
+        _plan_dense_ratio,
+        sweep=_dense_ratio_sweep,
+        summary=_dense_ratio_summary,
     ),
 }
 
@@ -501,7 +511,7 @@ EXPERIMENTS = tuple(_KINDS)
 def _run_trial(task: tuple[ExperimentConfig, dict[str, Any], int]) -> TrialRecord:
     cfg, plan, index = task
     aux: dict[str, Any] = {}
-    if "n" in plan and isinstance(cfg.n, tuple):
+    if isinstance(cfg.n, tuple):
         aux["n"] = plan["n"]
     trial = _KINDS[cfg.experiment].trial
     try:
@@ -603,11 +613,7 @@ def run_experiment(
             for g, plan in enumerate(plans)
             for i in range(cfg.trials)
         ]
-        workers = min(jobs, len(tasks))
-        if workers == 1:
-            records = [_run_trial(task) for task in tasks]
-        else:
-            records = _run_forked(tasks, workers)
+        records = _run_forked(tasks, min(jobs, len(tasks)))
     return ExperimentResult(records=tuple(records), summary=_summarise(cfg, records))
 
 

@@ -518,7 +518,12 @@ class TestExperimentCommand:
             (
                 '{"experiment": "complexpart_maxdegree", "n": 10, "q": 50,'
                 ' "core": [[1, 2], [2, 3], [1, 3]]}',
-                "n must be left out for complexpart_maxdegree, which reads q, got 10",
+                "n must be left out for complexpart_maxdegree, which reads q, core, "
+                "got 10",
+            ),
+            (
+                '{"experiment": "root_gap", "n": 50, "m": 10, "balls": null}',
+                "m must be left out for root_gap, which reads n, t, got 10",
             ),
             (
                 '{"experiment": "bins_concentration", "n": [50, 50], "trials": 3}',

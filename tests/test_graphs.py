@@ -751,6 +751,30 @@ class TestPlanarityTable:
         assert int(planarity_table(5).sum()) == (1 << 10) - 1
 
 
+class TestKuratowskiMasks:
+    """The subdivision masks against an oracle independent of how they are built.
+
+    By Kuratowski's theorem the K5 and K3,3 subdivisions are exactly the
+    minimal non-planar graphs: non-planar, and planar once any one edge is
+    deleted.  A mask the generator adds wrongly shows here; one it misses
+    leaves that code planar, which the A066537 totals catch.
+    """
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_masks_are_the_minimal_nonplanar_codes(self, n):
+        table = planarity_table(n)
+        codes = np.flatnonzero(~table)
+        minimal = np.ones(codes.size, dtype=bool)
+        for i in range(n * (n - 1) // 2):
+            has_edge = (codes >> i & 1).astype(bool)
+            minimal[has_edge] &= table[codes[has_edge] ^ (1 << i)]
+        assert _kuratowski_masks(n) == tuple(codes[minimal].tolist())
+
+    @pytest.mark.parametrize("n,count", [(4, 0), (5, 1), (6, 76), (7, 3451)])
+    def test_mask_counts(self, n, count):
+        assert len(_kuratowski_masks(n)) == count
+
+
 class TestEdgeListFormat:
     def test_round_trip(self):
         graph = SimpleGraph.from_edges(5, [(1, 2), (3, 5)])

@@ -27,6 +27,8 @@ from degreelab.harness import (
 )
 from degreelab.rng import derive_seed, mix64
 
+TRIANGLE = ((1, 2), (1, 3), (2, 3))
+
 
 class TestSeedDerivation:
     def test_mix_is_bijective_on_samples(self):
@@ -74,19 +76,14 @@ def valid_fields(draw, largest):
     """Config fields valid for the drawn kind, with sizes up to ``largest``.
 
     The field a kind bounds is drawn within its bounds at every grid point;
-    the fields it ignores are drawn as any count (q above the core's order
-    when a core is given, as every config checks that).
+    the fields it does not read are left out.
     """
     experiment = draw(st.sampled_from(EXPERIMENTS))
     fields = {"experiment": experiment, "trials": draw(st.integers(1, 10**6))}
     fields.update(_common_fields(draw, 10**6))
-    count = st.none() | st.integers(0, largest)
-    fields.update({name: draw(count) for name in ("m", "balls", "t")})
-    needs_core = experiment == "complexpart_maxdegree"
-    core = draw(cores() if needs_core else st.none() | cores())
-    q = st.integers(0 if core is None else max(map(max, core)) + 1, largest)
-    fields.update(core=core, q=draw(q if needs_core else st.none() | q))
-    if needs_core:
+    if experiment == "complexpart_maxdegree":
+        core = draw(cores())
+        fields.update(core=core, q=draw(st.integers(max(map(max, core)) + 1, largest)))
         return fields
     if experiment == "dense_ratio":
         fields["n"] = draw(st.integers(1, 7))
@@ -112,16 +109,21 @@ def valid_fields(draw, largest):
 
 @st.composite
 def small_fields(draw):
-    """One-trial config fields at small sizes, valid for the drawn kind or not."""
+    """One-trial config fields at small sizes, valid for the drawn kind or not.
+
+    Only the fields the kind reads are drawn, since any other is refused.
+    """
     experiment = draw(st.sampled_from(EXPERIMENTS))
     size = st.integers(1, 6 if experiment == "dense_ratio" else 60)
-    fields = {
-        "experiment": experiment,
-        "n": draw(st.none() | size | st.lists(size, min_size=1, max_size=3)),
-        "core": draw(st.none() | cores()),
-    }
     count = st.none() | st.integers(0, 60)
-    fields.update({name: draw(count) for name in ("m", "balls", "t", "q")})
+    values = {
+        "n": st.none() | size | st.lists(size, min_size=1, max_size=3),
+        "core": st.none() | cores(),
+        **{name: count for name in ("m", "balls", "t", "q")},
+    }
+    fields = {"experiment": experiment}
+    for name in harness._KINDS[experiment].reads:
+        fields[name] = draw(values[name])
     fields.update(_common_fields(draw, 20))
     return fields
 
@@ -204,7 +206,16 @@ class TestConfig:
                 "core .* is not a valid core: the core must occupy the vertex set",
             ),
             ("core", [], "core \\[\\] is not a valid core: .*at least one vertex"),
-            ("q", 3, "q must be at least v\\(core\\) \\+ 1 = 4, got 3"),
+            (
+                "q",
+                {
+                    "experiment": "complexpart_maxdegree",
+                    "n": None,
+                    "q": 3,
+                    "core": TRIANGLE,
+                },
+                "q must be at least v\\(core\\) \\+ 1 = 4, got 3",
+            ),
             # Bounds that depend on the experiment kind; a dict value holds
             # the fields that make the case, field names the one at fault.
             ("n", None, "n must be given for bins_concentration, got None"),
@@ -266,12 +277,17 @@ class TestConfig:
             ),
             (
                 "q",
-                {"experiment": "complexpart_maxdegree"},
+                {"experiment": "complexpart_maxdegree", "n": None, "core": TRIANGLE},
                 "q must be given for complexpart_maxdegree, got None",
             ),
             (
                 "core",
-                {"experiment": "complexpart_maxdegree", "q": 50, "core": None},
+                {
+                    "experiment": "complexpart_maxdegree",
+                    "n": None,
+                    "q": 50,
+                    "core": None,
+                },
                 "core must be given for complexpart_maxdegree, got None",
             ),
             (
@@ -284,11 +300,57 @@ class TestConfig:
                 },
                 "core .* is not a valid core: edge \\(1, 3\\) appears more than once",
             ),
+            # A field the kind does not read, one case per kind.
+            (
+                "m",
+                {"experiment": "bins_concentration", "m": 10},
+                "m must be left out for bins_concentration, which reads n, balls, "
+                "got 10",
+            ),
+            (
+                "balls",
+                {
+                    "experiment": "gnm_maxdegree",
+                    "core": TRIANGLE,
+                    "q": 5,
+                    "t": 3,
+                    "balls": 7,
+                },
+                "balls must be left out for gnm_maxdegree, which reads n, m, got 7",
+            ),
+            (
+                "t",
+                {"experiment": "noncomplex_maxdegree", "t": 2},
+                "t must be left out for noncomplex_maxdegree, which reads n, m, "
+                "got 2",
+            ),
+            (
+                "balls",
+                {"experiment": "forest_maxdegree", "balls": 5},
+                "balls must be left out for forest_maxdegree, which reads n, t, "
+                "got 5",
+            ),
             (
                 "n",
                 {"experiment": "complexpart_maxdegree", "n": [10, 20], "q": 50},
-                "n must be left out for complexpart_maxdegree, which reads q, "
+                "n must be left out for complexpart_maxdegree, which reads q, core, "
                 "got \\[10, 20\\]",
+            ),
+            (
+                "m",
+                {"experiment": "root_gap", "m": 10},
+                "m must be left out for root_gap, which reads n, t, got 10",
+            ),
+            (
+                "core",
+                {"experiment": "decomposition_stats", "core": TRIANGLE},
+                "core must be left out for decomposition_stats, which reads n, m, "
+                "got \\[\\[1, 2\\], \\[1, 3\\], \\[2, 3\\]\\]",
+            ),
+            (
+                "q",
+                {"experiment": "dense_ratio", "n": 5, "q": 50},
+                "q must be left out for dense_ratio, which reads n, got 50",
             ),
             ("n", [50, 50], "n must not repeat a grid size, got \\[50, 50\\]"),
             (
@@ -299,13 +361,9 @@ class TestConfig:
         ],
     )
     def test_bad_values_rejected_with_field_and_value(self, field, value, message):
-        # The triangle core is valid; it is there so that q is checked
-        # against the core's order.
-        data = {
-            "experiment": "bins_concentration",
-            "n": 100,
-            "core": [[1, 2], [2, 3], [1, 3]],
-        }
+        # Values are checked before the fields a kind reads, so a bad value
+        # of any field is named as such on the bins kind.
+        data = {"experiment": "bins_concentration", "n": 100}
         data.update(value if isinstance(value, dict) else {field: value})
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(data)
@@ -694,7 +752,6 @@ class TestEmit:
         assert paths[0] == paths[1] == paths[2]
 
 
-TRIANGLE = ((1, 2), (1, 3), (2, 3))
 
 #: SHA-256 of the CSV emitted by small graph-structure campaigns, recorded
 #: with the dict-based graph code and the heap decoder that the array
