@@ -8,12 +8,15 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from degreelab.concentration import balanced_concentration
 from degreelab.graphs import SimpleGraph, degree_sequence
 from degreelab.pruefer import (
+    _VECTOR_DECODE,
+    _pointer_leaves,
+    _release_leaves,
     count_forests,
     decode,
     decode_arrays,
@@ -140,7 +143,7 @@ class TestDecode:
                         edges = frozenset(zip(lo.tolist(), hi.tolist()))
                         assert edges == heap_decode(codeword, n, t)
 
-    def test_pointer_decode_matches_heap_decode_at_1e4(self):
+    def test_decode_matches_heap_decode_at_1e4(self):
         rng = np.random.default_rng(10_000)
         n = 10_000
         for t in (1, 3, 100, 5_000, n - 1):
@@ -159,10 +162,87 @@ class TestDecode:
                 assert decode(encode(forest, t), n, t).edges == edges
 
 
+def _bodies(n: int, t: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Codeword bodies of length n - t - 1 that strain the release criterion."""
+    size = n - t - 1
+    drawn = np.sort(rng.integers(1, n + 1, size=size))
+    return {
+        "uniform": rng.integers(1, n + 1, size=size),
+        "constant": np.full(size, n // 2),
+        "sorted": drawn,
+        "reverse_sorted": drawn[::-1].copy(),
+        "top_ten": rng.integers(n - 9, n + 1, size=size),
+        "bottom_ten": rng.integers(1, 11, size=size),
+    }
+
+
+def _codeword(body: np.ndarray, t: int, rng: np.random.Generator) -> np.ndarray:
+    return np.append(body, rng.integers(1, t + 1)).astype(np.int64)
+
+
+class TestReleaseStepDecode:
+    """The NumPy release-step decode against the heap oracle and the loop."""
+
+    def test_matches_heap_decode_exhaustively(self):
+        # Below the cut-off too, where decode_arrays itself never takes it.
+        for n in range(2, 8):
+            for t in range(1, n):
+                for body in product(range(1, n + 1), repeat=n - t - 1):
+                    for last in range(1, t + 1):
+                        entries = np.array((*body, last), dtype=np.int64)
+                        leaves = _release_leaves(entries, n, t, budget=math.inf)
+                        edges = frozenset(
+                            zip(
+                                np.minimum(entries, leaves).tolist(),
+                                np.maximum(entries, leaves).tolist(),
+                            )
+                        )
+                        assert edges == heap_decode(entries.tolist(), n, t)
+
+    @pytest.mark.parametrize("n", [_VECTOR_DECODE + 1, 4_099, 20_000, 70_000])
+    def test_matches_pointer_loop_on_adversarial_bodies(self, n):
+        rng = derive_rng(17, n)
+        for t in (1, n // 3, n - 1):
+            for name, body in _bodies(n, t, rng).items():
+                entries = _codeword(body, t, rng)
+                # About 40k of the 7e4 vertices of a reverse-sorted body with
+                # one root straddle their bounds; that case is the fallback's
+                # (below), and its exact counts would take hundreds of MB here.
+                if name == "reverse_sorted" and t == 1 and n == 70_000:
+                    continue
+                leaves = _release_leaves(entries, n, t, budget=math.inf)
+                expected = _pointer_leaves(entries, n, t)
+                assert np.array_equal(leaves, expected), (name, t)
+
+    def test_falls_back_to_the_pointer_loop_when_too_many_are_open(self):
+        n, t = 70_000, 1
+        rng = derive_rng(18, 0)
+        entries = _codeword(_bodies(n, t, rng)["reverse_sorted"], t, rng)
+        assert _release_leaves(entries, n, t) is None
+        leaves = _pointer_leaves(entries, n, t)
+        lo, hi = decode_arrays(entries, n, t)
+        assert np.array_equal(lo, np.minimum(entries, leaves))
+        assert np.array_equal(hi, np.maximum(entries, leaves))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_both_paths_agree_at_the_cut_off(self, offset):
+        n = _VECTOR_DECODE + offset
+        rng = derive_rng(19, n)
+        for t in (1, 3, n // 3, n - 2):
+            for body in _bodies(n, t, rng).values():
+                entries = _codeword(body, t, rng)
+                expected = _pointer_leaves(entries, n, t)
+                released = _release_leaves(entries, n, t, budget=math.inf)
+                assert np.array_equal(released, expected)
+                lo, hi = decode_arrays(entries, n, t)
+                assert np.array_equal(lo, np.minimum(entries, expected))
+                assert np.array_equal(hi, np.maximum(entries, expected))
+
+
 @st.composite
-def codewords(draw, min_n: int = 2):
-    """(n, t, codeword) with n <= 60, 1 <= t < n and any valid codeword."""
-    n = draw(st.integers(min_n, 60))
+def codewords(draw, min_n: int = 2, max_n: int = 60):
+    """(n, t, codeword) with min_n <= n <= max_n, 1 <= t < n, any codeword."""
+    n = draw(st.integers(min_n, max_n))
     t = draw(st.integers(1, n - 1))
     body = draw(st.lists(st.integers(1, n), min_size=n - t - 1, max_size=n - t - 1))
     return n, t, (*body, draw(st.integers(1, t)))
@@ -179,6 +259,20 @@ class TestCodecProperties:
         counts = Counter(codeword)
         expected = tuple(counts[v] + (v > t) for v in range(1, n + 1))
         assert degree_sequence(forest) == expected
+
+    # No shrink phase: shrinking a failing ~1000-entry codeword takes minutes,
+    # and TestReleaseStepDecode finds a small counterexample in a second.
+    @settings(
+        deadline=None,
+        max_examples=15,
+        phases=(Phase.explicit, Phase.reuse, Phase.generate),
+    )
+    @given(drawn=codewords(_VECTOR_DECODE - 8, _VECTOR_DECODE + 64))
+    def test_round_trip_across_the_cut_off(self, drawn):
+        n, t, codeword = drawn
+        forest = decode(codeword, n, t)
+        validate_forest(forest, t)
+        assert encode(forest, t) == codeword
 
     @settings(deadline=None)
     @given(drawn=codewords(min_n=3), data=st.data())
