@@ -3,8 +3,11 @@
 Graph algorithms run on endpoint arrays (1-based labels on [n]):
 ``component_stats`` labels components by hooking roots and pointer jumping
 in NumPy, ``peel`` computes the 2-core by deleting leaves, each of which
-finds its one live neighbour as the XOR of its live neighbours (no adjacency
-index), and ``decompose_masks`` combines them.  The ``SimpleGraph``
+finds its one live neighbour as the sum of its live neighbours (no adjacency
+index; sums stay below n * deg < 2^63 and update through NumPy's indexed
+add/subtract loops, which XOR lacks), and ``decompose_masks`` peels first,
+labels the components of the 2-core alone and hands each deleted vertex the
+core component of the parent it was peeled from.  The ``SimpleGraph``
 functions convert their edges and call these.
 
 A component is *complex* if it has at least two independent cycles (edge
@@ -240,30 +243,22 @@ def has_complex_component(n: int, us: np.ndarray, vs: np.ndarray) -> bool:
 _BULK_FRONTIER = 64
 
 
-def peel(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Mask of the vertices left after recursively deleting those of degree <= 1.
+def _peel(n: int, us: np.ndarray, vs: np.ndarray, record: bool) -> tuple:
+    """The peel of ``peel``, on the labels with slot 0 a dead sentinel.
 
-    alive[v - 1] is True iff v lies in the classical 2-core.  The peel keeps
-    two arrays on the labels, with slot 0 a dead sentinel: each vertex's live
-    degree and ``link``, the XOR of its live neighbours.  A vertex of degree
-    one therefore has ``link[v]`` as its one live neighbour, and one of
-    degree zero has link 0, the sentinel, so deleting a leaf v is
-    ``degree[p] -= 1; link[p] ^= v`` with ``p = link[v]`` and needs no
-    adjacency index (the peeling step of Graf & Lemire's XOR filters).
-
-    A stack of leaves, one deletion at a time, is a complete peel.  While the
-    frontier (live vertices of degree <= 1) is wider than ``_BULK_FRONTIER``,
-    it is deleted in one NumPy round instead; that batches the wide first
-    rounds, and the stack then finishes the narrow tail of hanging trees that
-    are ~sqrt(n) deep, which would otherwise cost one NumPy round per level.
+    Returns (alive, bulk, tail).  With ``record``, ``bulk`` lists one
+    (leaves, parents) array pair per bulk round and ``tail`` one (leaf,
+    parent) pair per step of the stack, each for the leaves deleted while
+    their parent was live, in deletion order; otherwise both are empty.
     """
     us, vs = np.asarray(us, dtype=np.intp), np.asarray(vs, dtype=np.intp)
     degree = np.bincount(us, minlength=n + 1) + np.bincount(vs, minlength=n + 1)
     link = np.zeros(n + 1, dtype=np.intp)
-    np.bitwise_xor.at(link, us, vs)
-    np.bitwise_xor.at(link, vs, us)
+    np.add.at(link, us, vs)
+    np.add.at(link, vs, us)
     alive = np.ones(n + 1, dtype=bool)
     alive[0] = False
+    bulk, tail = [], []
     frontier = np.flatnonzero(degree[1:] <= 1) + 1
     while frontier.size > _BULK_FRONTIER:
         alive[frontier] = False
@@ -271,7 +266,9 @@ def peel(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         live = alive[parents]
         leaves, parents = frontier[live], parents[live]
         np.subtract.at(degree, parents, 1)
-        np.bitwise_xor.at(link, parents, leaves)
+        np.subtract.at(link, parents, leaves)
+        if record:
+            bulk.append((leaves, parents))
         frontier = _distinct(parents[degree[parents] <= 1])
     stack = frontier.tolist()
     alive_at, degree_at = memoryview(alive), memoryview(degree)
@@ -281,11 +278,37 @@ def peel(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         alive_at[v] = False
         p = link_at[v]
         if alive_at[p]:
-            link_at[p] ^= v
+            link_at[p] -= v
             degree_at[p] -= 1
+            if record:
+                tail.append((v, p))
             if degree_at[p] == 1:
                 stack.append(p)
-    return alive[1:]
+    return alive, bulk, tail
+
+
+def peel(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Mask of the vertices left after recursively deleting those of degree <= 1.
+
+    alive[v - 1] is True iff v lies in the classical 2-core.  The peel keeps
+    two arrays on the labels, with slot 0 a dead sentinel: each vertex's live
+    degree and ``link``, the sum of its live neighbours.  A vertex of degree
+    one therefore has ``link[v]`` as its one live neighbour, and one of
+    degree zero has link 0, the sentinel, so deleting a leaf v is
+    ``degree[p] -= 1; link[p] -= v`` with ``p = link[v]`` and needs no
+    adjacency index (the peeling step of Graf & Lemire's XOR filters, with a
+    sum in place of the XOR).  A sum is at most n * deg(v) < 2^63, and every
+    bulk update is then ``np.add.at`` or ``np.subtract.at``, which NumPy runs
+    through indexed fast loops; ``np.bitwise_xor.at`` has none, and on 2e5
+    updates at n = 1e5 it took 1.9 ms against 0.45 ms for ``np.add.at``.
+
+    A stack of leaves, one deletion at a time, is a complete peel.  While the
+    frontier (live vertices of degree <= 1) is wider than ``_BULK_FRONTIER``,
+    it is deleted in one NumPy round instead; that batches the wide first
+    rounds, and the stack then finishes the narrow tail of hanging trees that
+    are ~sqrt(n) deep, which would otherwise cost one NumPy round per level.
+    """
+    return _peel(n, us, vs, record=False)[0][1:]
 
 
 def decompose_masks(
@@ -298,18 +321,42 @@ def decompose_masks(
     components correspond one to one; ``big`` is the complex component with
     the most core vertices (ties to the smallest core vertex) and ``small``
     the other complex components.  The non-complex part is ~(big | small).
+
+    The graph is peeled first.  Deleting a leaf keeps its component
+    connected and keeps its edge count minus vertex count, so each component
+    has a connected or empty 2-core, complex iff the component is:
+    ``component_stats`` runs on the 2-core alone (about 5% of the vertices at
+    m = 0.6n).  Every deleted vertex then takes the core component of the
+    live parent it was deleted from, in reverse deletion order (a parent is
+    deleted after its leaf, or never): the stack's pairs one at a time, then
+    the bulk rounds as gathers.  A vertex deleted with no live parent lies in
+    a tree component and belongs to no complex one.
     """
-    labels, vertex_counts, edge_counts = component_stats(n, us, vs)
-    in_complex = (edge_counts >= vertex_counts + 1)[labels]
-    core = peel(n, us, vs) & in_complex
+    alive, bulk, tail = _peel(n, us, vs, record=True)
+    us, vs = np.asarray(us, dtype=np.intp), np.asarray(vs, dtype=np.intp)
+    kept = alive[us] & alive[vs]
+    rank = np.cumsum(alive)
+    labels, vertex_counts, edge_counts = component_stats(
+        int(rank[-1]), rank[us[kept]], rank[vs[kept]]
+    )
+    is_complex = edge_counts >= vertex_counts + 1
+    # comp[v] is v's complex core component, or -1; slot 0 is the sentinel.
+    comp = np.full(n + 1, -1, dtype=np.int32)
+    comp[alive] = np.where(is_complex[labels], labels, -1)
+    comp_at = memoryview(comp)
+    for v, p in reversed(tail):
+        comp_at[v] = comp_at[p]
+    for leaves, parents in reversed(bulk):
+        comp[leaves] = comp[parents]
+    comp = comp[1:]
+    in_complex = comp >= 0
+    core = alive[1:] & in_complex
     big = np.zeros(n, dtype=bool)
-    core_vertices = np.flatnonzero(core)
-    if core_vertices.size:
-        comps, first, sizes = np.unique(
-            labels[core_vertices], return_index=True, return_counts=True
-        )
-        best = comps[np.lexsort((core_vertices[first], -sizes))[0]]
-        big = labels == best
+    if is_complex.any():
+        # Core components are numbered by smallest member, so the first of
+        # the largest is the one with the smallest core vertex.
+        best = np.flatnonzero(is_complex)[np.argmax(vertex_counts[is_complex])]
+        big = comp == best
     return core, big, in_complex & ~big
 
 
@@ -533,18 +580,24 @@ def format_edge_list(graph: SimpleGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _edge_list_int(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"edge list token {token!r} is not an integer") from None
+
+
 def parse_edge_list(text: str) -> SimpleGraph:
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("edge list must start with an 'N M' header")
-    n, m = int(tokens[0]), int(tokens[1])
+    n, m = _edge_list_int(tokens[0]), _edge_list_int(tokens[1])
+    if n < 0 or m < 0:
+        raise ValueError(f"header N and M must be non-negative, got {n} {m}")
     if len(tokens) != 2 + 2 * m:
         raise ValueError(f"expected {m} edges after the header, got malformed data")
-    pairs = tokens[2:]
-    edges = [
-        (int(pairs[2 * i]), int(pairs[2 * i + 1])) for i in range(m)
-    ]
-    return SimpleGraph.from_edges(n, edges)
+    pairs = [_edge_list_int(token) for token in tokens[2:]]
+    return SimpleGraph.from_edges(n, zip(pairs[0::2], pairs[1::2]))
 
 
 def read_edge_list(path: str) -> SimpleGraph:

@@ -183,7 +183,8 @@ class TestEdgeListFiles:
             ("3 1\n2 2\n", "loop at vertex 2 is not a simple-graph edge"),
             ("3 1\n1 4\n", "edge \\(1, 4\\) has an endpoint outside the vertex set"),
             ("3 3\n1 2\n2 1\n2 3\n", "edge \\(1, 2\\) appears more than once"),
-            ("3 1\n1 two\n", "invalid literal for int"),
+            ("3 1\n1 two\n", "edge list token 'two' is not an integer"),
+            ("3 -1\n", "header N and M must be non-negative, got 3 -1"),
             (None, "No such file or directory"),
         ],
     )

@@ -411,6 +411,22 @@ def first_frontier(n: int, us: np.ndarray, vs: np.ndarray) -> int:
     return int(np.count_nonzero(degree <= 1))
 
 
+def mask_sets(masks) -> list[set[int]]:
+    return [set((np.flatnonzero(mask) + 1).tolist()) for mask in masks]
+
+
+def assert_decompose_matches_dict(n: int, us: np.ndarray, vs: np.ndarray):
+    """decompose_masks at int64, int32 and uint64 against the dict oracle;
+    returns the oracle's (core, big, small, rest)."""
+    edges = list(zip(us.tolist(), vs.tolist()))
+    core, big, small, rest = dict_decompose(range(1, n + 1), edges)
+    for dtype in (np.int64, np.int32, np.uint64):
+        masks = decompose_masks(n, us.astype(dtype), vs.astype(dtype))
+        assert all(mask.shape == (n,) and mask.dtype == bool for mask in masks)
+        assert mask_sets(masks) == [core, big, small]
+    return core, big, small, rest
+
+
 def assert_peel_matches_queue(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     alive = peel(n, us, vs)
     assert alive.shape == (n,) and alive.dtype == bool
@@ -476,7 +492,7 @@ class TestArrayKernels:
         for n, us, vs in kernel_cases():
             edges = list(zip(us.tolist(), vs.tolist()))
             masks = decompose_masks(n, us, vs)
-            sets = [set((np.flatnonzero(mask) + 1).tolist()) for mask in masks]
+            sets = mask_sets(masks)
             core, big, small, rest = dict_decompose(range(1, n + 1), edges)
             assert sets == [core, big, small]
             assert set(range(1, n + 1)) - sets[1] - sets[2] == rest
@@ -524,6 +540,32 @@ class TestArrayKernels:
         assert first_frontier(2000, us, vs) > _BULK_FRONTIER
         peel(2000, us, vs)
         validate_forest(SimpleGraph.from_edges(4, [(1, 3), (2, 4)]), 2)
+
+    def test_no_unindexed_ufunc_at_in_peel_and_decompose(self, monkeypatch):
+        # NumPy has indexed fast loops for add.at and subtract.at but not for
+        # the bitwise ufuncs, whose .at falls back to a generic loop.
+        class NoAt:
+            def __init__(self, ufunc):
+                self.ufunc = ufunc
+
+            def __call__(self, *args, **kwargs):
+                return self.ufunc(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self.ufunc, name)
+
+            def at(self, *args, **kwargs):
+                raise AssertionError(f"np.{self.ufunc.__name__}.at called")
+
+        for name in ("bitwise_xor", "bitwise_or", "bitwise_and"):
+            monkeypatch.setattr(np, name, NoAt(getattr(np, name)))
+        rng = np.random.default_rng(6)
+        bowtie = SimpleGraph.from_edges(5, BOWTIE)
+        us, vs = complex_part_arrays(bowtie, 2000, rng)
+        assert first_frontier(2000, us, vs) > _BULK_FRONTIER
+        for n, a, b in ((2000, us, vs), (5, *_edge_arrays(bowtie))):
+            assert peel(n, a, b).any()
+            assert decompose_masks(n, a, b)[0].any()
 
     def test_bare_cycle_is_peeled_but_not_core(self):
         n, us, vs = 5, np.array([1, 2, 3, 4, 1]), np.array([2, 3, 4, 5, 5])
@@ -597,6 +639,51 @@ class TestPeelBulkRounds:
     @given(drawn=cores_with_trees())
     def test_matches_queue_oracle_on_trees_around_a_core(self, drawn):
         assert_peel_matches_queue(*drawn)
+
+
+def complex_part_edges(core, q: int, rng) -> tuple[int, list[tuple[int, int]]]:
+    """A complex part on [q] over ``core`` as a piece for ``relabelled_union``."""
+    graph = SimpleGraph.from_edges(max(map(max, core)), core)
+    us, vs = complex_part_arrays(graph, q, rng)
+    return q, list(zip(us.tolist(), vs.tolist()))
+
+
+class TestDecomposeBulkRounds:
+    """decompose_masks on graphs wide enough for the peel's bulk rounds, where
+    the deleted vertices take their core component one round at a time."""
+
+    @pytest.mark.parametrize("n, us, vs", bulk_cases())
+    def test_matches_dict_oracle(self, n, us, vs):
+        assert first_frontier(n, us, vs) > _BULK_FRONTIER
+        assert_decompose_matches_dict(n, us, vs)
+
+    # Seeds 3 and 5 put the smallest core vertex in the smaller part, 4 and 6
+    # in the larger one.
+    @pytest.mark.parametrize("seed", range(3, 7))
+    def test_equal_cores_tie_to_the_smallest_core_vertex(self, seed):
+        rng = np.random.default_rng(seed)
+        parts = [complex_part_edges(BOWTIE, q, rng) for q in (800, 790)]
+        n, us, vs = relabelled_union(rng, parts)
+        assert first_frontier(n, us, vs) > _BULK_FRONTIER
+        core, big, small, _ = assert_decompose_matches_dict(n, us, vs)
+        assert len(core & big) == len(core & small) == 5
+        assert min(core) in big and len(big | small) == n
+
+    def test_forest_on_a_bare_cycle_is_not_complex(self):
+        # The triangle's hanging forest and a free forest peel away entirely;
+        # their vertices must take no complex component.
+        rng = np.random.default_rng(8)
+        forest_us, forest_vs = decode_arrays(sample_codeword(1500, 3, rng), 1500, 3)
+        parts = [
+            complex_part_edges(TRIANGLE, 3000, rng),
+            complex_part_edges(BOWTIE, 400, rng),
+            (1500, list(zip(forest_us.tolist(), forest_vs.tolist()))),
+        ]
+        n, us, vs = relabelled_union(rng, parts)
+        assert first_frontier(n, us, vs) > _BULK_FRONTIER
+        core, big, small, rest = assert_decompose_matches_dict(n, us, vs)
+        assert len(core) == 5 and len(big) == 400 and not small
+        assert len(rest) == 3000 + 1500
 
 
 def assert_matches_scipy(n: int, us: np.ndarray, vs: np.ndarray) -> None:
@@ -785,6 +872,14 @@ class TestEdgeListFormat:
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             parse_edge_list("3 2\n1 2\n")
+        with pytest.raises(ValueError, match="token '2.5' is not an integer"):
+            parse_edge_list("3 1\n1 2.5\n")
+        with pytest.raises(ValueError, match="token 'x' is not an integer"):
+            parse_edge_list("x 0\n")
+        with pytest.raises(ValueError, match="N and M must be non-negative"):
+            parse_edge_list("3 -1\n")
+        with pytest.raises(ValueError, match="N and M must be non-negative"):
+            parse_edge_list("-2 0\n")
 
     def test_rejects_repeated_edge(self):
         with pytest.raises(ValueError, match="edge \\(1, 2\\) appears more than once"):
