@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from degreelab import concentration as conc
@@ -51,6 +52,22 @@ def _experiment_config(path: str) -> harness.ExperimentConfig:
             return harness.ExperimentConfig.from_dict(json.load(handle))
     except (OSError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"{path}: {exc}") from None
+
+
+def _out_path(path: str) -> str:
+    """argparse type for ``--out``: a file path in an existing directory.
+
+    Checked when the arguments are parsed, so a bad path fails before the
+    campaign runs; the file itself is neither created nor truncated here.
+    """
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path}: is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(
+            f"{path}: {parent} is not an existing directory"
+        )
+    return path
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="JSON file with the config",
     )
-    p_run.add_argument("--out", help="write records to this path")
+    p_run.add_argument("--out", type=_out_path, help="write records to this path")
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
     p_run.add_argument("--jobs", type=int, help="parallel workers (default: env or 1)")
     p_run.set_defaults(handler=_cmd_experiment, parser=p_run)

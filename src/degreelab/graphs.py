@@ -311,6 +311,66 @@ def peel(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return _peel(n, us, vs, record=False)[0][1:]
 
 
+def _leaf_ordered_core(
+    n: int, v: int, core_size: int, us: np.ndarray, vs: np.ndarray
+) -> bool:
+    """True iff the edges after the first ``core_size`` come in leaf order
+    onto a core on [1, v] of minimum degree two.
+
+    Then ``peel(n, us, vs)`` keeps exactly [1, v], and the edges with both
+    ends kept are exactly the first ``core_size``; this check costs O(n) in
+    NumPy, with no peel.  The other edges are the forest edges, indexed
+    0, 1, ...; L(x) is the index of the last forest edge at x, taken with
+    ``np.maximum.at`` because a fancy assignment that repeats an index does
+    not fix which value wins.  The check holds iff there are n - v forest
+    edges; every endpoint lies in [1, n]; no forest edge is a loop; the
+    core edges lie inside [1, v] and give each vertex of [1, v] degree at
+    least two; and the n - v vertices above v each have an L, with no two
+    the same, so that L is a bijection from (v, n] onto the forest edges.
+
+    Proof that the peel then gives the core (the leaf-deletion argument of
+    Batagelj & Zaveršnik, 2003): edge k has an end z with L(z) = k, and
+    deleting the vertices above v in order of L is a valid leaf peel that
+    deletes edge k at step k, with z.  At step j, x = L^-1(j) has no core
+    edge and no forest edge after j; each of its edges k < j has L^-1(k) at
+    its other end, already deleted with that edge; and edge j is still
+    there and is not a loop, so x has degree exactly one.  What remains is
+    [1, v] with the core edges, of minimum degree two, and the 2-core does
+    not depend on the deletion order.  The converse fails only by being
+    stricter: the same forest edges out of leaf order (say reversed) still
+    peel to the core, but fail here.  ``pruefer.decode_arrays`` joins entry
+    i to the leaf removed at step i, which appears in no later edge, so a
+    decoded forest grafted after its core edges always passes.
+    """
+    us, vs = np.asarray(us, dtype=np.intp), np.asarray(vs, dtype=np.intp)
+    m = us.size - core_size
+    if m != n - v:
+        return False
+    if us.size and (min(us.min(), vs.min()) < 1 or max(us.max(), vs.max()) > n):
+        return False
+    core_us, core_vs = us[:core_size], vs[:core_size]
+    forest_us, forest_vs = us[core_size:], vs[core_size:]
+    if np.any(forest_us == forest_vs):
+        return False
+    if core_size and max(core_us.max(), core_vs.max()) > v:
+        return False
+    core_degree = np.bincount(core_us, minlength=v + 1) + np.bincount(
+        core_vs, minlength=v + 1
+    )
+    if np.any(core_degree[1:] < 2):
+        return False
+    last = np.full(n + 1, -1, dtype=np.intp)
+    steps = np.arange(m, dtype=np.intp)
+    np.maximum.at(last, forest_us, steps)
+    np.maximum.at(last, forest_vs, steps)
+    last = last[v + 1:]
+    if np.any(last < 0):
+        return False
+    seen = np.zeros(m, dtype=bool)
+    seen[last] = True
+    return bool(seen.all())
+
+
 def decompose_masks(
     n: int, us: np.ndarray, vs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

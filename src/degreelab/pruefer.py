@@ -270,13 +270,16 @@ def decode_arrays(
     """Edges of the forest encoded by a codeword, as (lo, hi) endpoint arrays.
 
     Edge i joins codeword entry i to the leaf removed at step i, with the
-    smaller endpoint in ``lo``.  The degree of each vertex starts at its
-    occurrence count, plus one for non-roots, and the leaf matched to an
-    entry is the largest vertex of current degree one.  From n =
-    ``_VECTOR_DECODE`` (the measured crossover, about 1000) the leaves come
-    from the release-step criterion of ``_release_leaves``: block bounds
-    on each vertex's count of larger non-roots released before it, and an
-    exact count only where the bounds straddle its release step.  Below
+    smaller endpoint in ``lo``.  That leaf appears in no later edge, so the
+    edges come in a leaf-deletion order: deleting the leaf of edge 0, 1, ...
+    in turn deletes a vertex of degree one each time and leaves the roots.
+    The degree of each vertex starts at its occurrence count, plus one for
+    non-roots, and the leaf matched to an entry is the largest vertex of
+    current degree one.  From n = ``_VECTOR_DECODE`` (the measured
+    crossover, about 1000) the leaves come from the release-step criterion
+    of ``_release_leaves``: block bounds on each vertex's count of larger
+    non-roots released before it, and an exact count only where the bounds
+    straddle its release step.  Below
     that, and on codewords whose bounds leave too many vertices open, a
     linear pointer scan finds them (``_pointer_leaves``).  Both give the
     same arrays.

@@ -159,8 +159,11 @@ def complex_part_arrays(
 
     Draws a uniform codeword for F(q, v(core)) and grafts the forest it
     encodes onto the core, one root per core vertex.  The first
-    ``core.size`` edges are the core's.  When the core has no bare-cycle
-    component the result is a uniform complex graph with that core.
+    ``core.size`` edges are the core's; the forest's follow in the order of
+    ``decode_arrays``, where the leaf of each edge appears in no later edge.
+    ``harness`` relies on that order to check the core without peeling.
+    When the core has no bare-cycle component the result is a uniform
+    complex graph with that core.
     """
     validate_core(core)
     v = core.order

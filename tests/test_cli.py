@@ -402,6 +402,49 @@ class TestExperimentCommand:
             assert code == expected
 
     @pytest.mark.parametrize(
+        "out,message",
+        [
+            ("missing/x.csv", "{tmp}/missing is not an existing directory"),
+            ("a/b/x.csv", "{tmp}/a/b is not an existing directory"),
+            ("", "is a directory"),
+            ("cfg.json/x.csv", "{tmp}/cfg.json is not an existing directory"),
+        ],
+        ids=["missing-parent", "missing-grandparent", "directory", "file-as-parent"],
+    )
+    def test_bad_out_is_a_usage_error_before_the_campaign(
+        self, capsys, tmp_path, monkeypatch, out, message
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"experiment": "bins_concentration", "n": 10, "trials": 1}')
+        cfg_bytes = cfg_path.read_bytes()
+        ran = []
+        monkeypatch.setattr(
+            "degreelab.harness.run_experiment", lambda *a, **k: ran.append(a)
+        )
+        path = str(tmp_path / out) if out else str(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "run", "--config", str(cfg_path), "--out", path])
+        assert exit_info.value.code == 2
+        assert not ran
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: degreelab experiment run ")
+        assert f"error: argument --out: {path}: " in captured.err
+        assert message.format(tmp=tmp_path) in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+        assert cfg_path.read_bytes() == cfg_bytes
+
+    def test_out_in_the_working_directory(self, capsys, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"experiment": "bins_concentration", "n": 10, "trials": 2}')
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run_cli(
+            capsys, "experiment", "run", "--config", str(cfg_path), "--out", "r.csv"
+        )
+        assert code == 0
+        assert (tmp_path / "r.csv").read_text().startswith("trial,observed,")
+
+    @pytest.mark.parametrize(
         "flag,env,message",
         [
             (["--jobs", "0"], None, "jobs must be a positive integer, got 0"),

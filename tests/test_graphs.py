@@ -15,6 +15,7 @@ from degreelab.graphs import (
     SimpleGraph,
     _edge_arrays,
     _kuratowski_masks,
+    _leaf_ordered_core,
     complete_graph_edges,
     component_stats,
     components,
@@ -684,6 +685,103 @@ class TestDecomposeBulkRounds:
         core, big, small, rest = assert_decompose_matches_dict(n, us, vs)
         assert len(core) == 5 and len(big) == 400 and not small
         assert len(rest) == 3000 + 1500
+
+
+K4 = list(combinations(range(1, 5), 2))
+TWO_TRIANGLES = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]
+
+
+def peels_to_core(n: int, v: int, core_size: int, us, vs) -> bool:
+    """What the peel says: exactly [1, v] survives, with the first core_size edges."""
+    alive = peel(n, us, vs)
+    kept = np.flatnonzero(alive[us - 1] & alive[vs - 1])
+    return np.array_equal(np.flatnonzero(alive), np.arange(v)) and np.array_equal(
+        kept, np.arange(core_size)
+    )
+
+
+def leaf_order_case(forest, core=TRIANGLE):
+    """(n, v, core_size, us, vs) for hand-given forest edges grafted after ``core``."""
+    edges = list(core) + list(forest)
+    us, vs = (np.array(side, dtype=np.int64) for side in zip(*edges))
+    v = max(map(max, core))
+    return max(v, int(us.max()), int(vs.max())), v, len(core), us, vs
+
+
+class TestLeafOrderedCore:
+    """``_leaf_ordered_core`` against the peel it stands in for."""
+
+    @pytest.mark.parametrize(
+        "core",
+        [TRIANGLE, BOWTIE, K4, TWO_TRIANGLES],
+        ids=["triangle", "bowtie", "k4", "two-triangles"],
+    )
+    def test_agrees_with_peel_on_complex_parts(self, core):
+        graph = SimpleGraph.from_edges(max(map(max, core)), core)
+        v = graph.order
+        # 999 decodes with the pointer scan, 1000 and up by release steps.
+        sizes = [*range(v + 1, v + 41), 999, 1000, 1001, 5000, 10**5]
+        for q in sizes:
+            for seed in range(4):
+                rng = np.random.default_rng((q, seed))
+                us, vs = complex_part_arrays(graph, q, rng)
+                assert peels_to_core(q, v, graph.size, us, vs), (q, seed)
+                assert _leaf_ordered_core(q, v, graph.size, us, vs), (q, seed)
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_forest_out_of_leaf_order_is_refused(self, order):
+        # The same graph still peels to the core: the check is stricter.
+        graph = SimpleGraph.from_edges(3, TRIANGLE)
+        us, vs = complex_part_arrays(graph, 200, np.random.default_rng(5))
+        forest = np.arange(3, us.size)
+        if order == "reversed":
+            forest = forest[::-1]
+        else:
+            forest = np.random.default_rng(6).permutation(forest)
+        index = np.concatenate((np.arange(3), forest))
+        us, vs = us[index], vs[index]
+        assert peels_to_core(200, 3, 3, us, vs)
+        assert not _leaf_ordered_core(200, 3, 3, us, vs)
+
+    def test_hand_built_leaf_order_passes(self):
+        # Path 1-4-5-6 hung on the triangle, deleted 6, 5, 4.
+        case = leaf_order_case([(5, 6), (4, 5), (1, 4)])
+        assert peels_to_core(*case)
+        assert _leaf_ordered_core(*case)
+
+    @pytest.mark.parametrize(
+        "forest, core",
+        [
+            # Edge 2 closes the cycle 4-5-6: L(4) = L(6) = 2.
+            ([(5, 6), (4, 5), (4, 6)], TRIANGLE),
+            # A loop at 4 as its last edge: every L is distinct.
+            ([(5, 6), (4, 5), (4, 4)], TRIANGLE),
+            # Core vertex 4 has core degree one.
+            ([(1, 5)], TRIANGLE + [(3, 4)]),
+        ],
+        ids=["cycle", "loop", "core-degree-one"],
+    )
+    def test_refused_where_the_peel_misses_the_core(self, forest, core):
+        case = leaf_order_case(forest, core)
+        assert not peels_to_core(*case)
+        assert not _leaf_ordered_core(*case)
+
+    def test_core_edge_leaving_the_core_is_refused(self):
+        # Core edge 3-4 keeps vertex 4, whose last forest edge comes second.
+        _, _, _, us, vs = leaf_order_case([(4, 5), (1, 4)], TRIANGLE + [(3, 4)])
+        assert not peels_to_core(5, 3, 4, us, vs)
+        assert not _leaf_ordered_core(5, 3, 4, us, vs)
+
+    @pytest.mark.parametrize("bad", [0, 7, -1])
+    def test_endpoint_outside_the_labels_is_refused(self, bad):
+        # Without the bad endpoint the forest is a valid leaf order on [6].
+        n, v, core_size, us, vs = leaf_order_case([(5, 6), (4, 5), (1, 4)])
+        forest_us = us.copy()
+        forest_us[-1] = bad
+        assert not _leaf_ordered_core(n, v, core_size, forest_us, vs)
+        core_vs = vs.copy()
+        core_vs[1] = bad
+        assert not _leaf_ordered_core(n, v, core_size, us, core_vs)
 
 
 def assert_matches_scipy(n: int, us: np.ndarray, vs: np.ndarray) -> None:
