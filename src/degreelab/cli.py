@@ -15,6 +15,7 @@ one "u v" line per edge, 1-indexed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -70,7 +71,17 @@ def _out_path(path: str) -> str:
     return path
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's one argument parser, built on the first call and reused after.
+
+    ``parse_args`` returns a fresh namespace and runs the ``type=`` converters
+    on every call, so a reused parser carries nothing from one call to the
+    next.  The parser binds only this module's ``_cmd_*`` handlers and type
+    converters; a handler looks up the library functions it calls when it
+    runs, so a function patched or wrapped after the first call still takes
+    effect.
+    """
     parser = argparse.ArgumentParser(
         prog="degreelab",
         description="Laboratory for maximum-degree concentration in sparse random graphs.",
@@ -105,9 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_forest.set_defaults(handler=_cmd_forest, parser=p_forest)
 
-    for name, help_text, sampler in (
-        ("gnm", "uniform simple graph", sample_gnm),
-        ("noncomplex", "uniform graph without complex components", sample_noncomplex),
+    for name, help_text in (
+        ("gnm", "uniform simple graph"),
+        ("noncomplex", "uniform graph without complex components"),
     ):
         p_g = sample_sub.add_parser(name, help=help_text)
         p_g.add_argument("--n", type=int, required=True)
@@ -117,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p_g.add_argument(
             "--report", action="store_true", help="append the rejection report as JSON"
         )
-        p_g.set_defaults(handler=_cmd_graph, parser=p_g, sampler=sampler)
+        p_g.set_defaults(handler=_cmd_graph, parser=p_g)
 
     p_cp = sample_sub.add_parser("complex-part", help="uniform complex part over a core")
     p_cp.add_argument(
@@ -216,8 +227,9 @@ def _cmd_forest(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
+    sampler = sample_gnm if args.structure == "gnm" else sample_noncomplex
     rng = derive_rng(args.seed, 0)
-    graph, report = args.sampler(args.n, args.m, rng, args.max_attempts)
+    graph, report = sampler(args.n, args.m, rng, args.max_attempts)
     sys.stdout.write(format_edge_list(graph))
     if args.report:
         print(
@@ -284,6 +296,17 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one ``degreelab`` command and return its exit code.
+
+    ``argv`` is the argument list without the program name (``sys.argv[1:]``
+    when None).  The code is 0 on success and 1 when a campaign misses its
+    thresholds or a dense-ratio check fails.  A sampler that runs out of
+    attempts raises ``RejectionLimitError``, which ends the process with
+    exit 1.  A usage error, including a value the library refuses, prints
+    the subcommand's usage line and raises ``SystemExit(2)``.  Safe to call
+    repeatedly in one process: the parser is built on the first call and
+    reused after.
+    """
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import degreelab.cli  # noqa: F401  (imports every module the tracer wraps)
+import degreelab.cli  # imports every module the tracer wraps
 from degreelab import dense_ops, graphs, samplers
 from degreelab.graphs import SimpleGraph
 from degreelab.rng import derive_rng
@@ -112,6 +112,30 @@ def test_tracer_reads_the_fields_it_counts(monkeypatch):
         total = sum(r.reject_reasons[reason] for r in reports)
         assert counts[f"samplers.reject.{reason}"] == total
     assert (counts["dense_ops.checks"], counts["dense_ops.vacuous"]) == (2, 1)
+
+
+def test_tracer_counts_cli_layers_after_the_parser_is_built(monkeypatch, tmp_path, capsys):
+    # The parser is built on the first ``main`` call and kept.  If it bound a
+    # library function, the tracer installed after that call could not wrap it.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"experiment": "bins_concentration", "n": 10, "trials": 2}')
+    argv = [
+        "experiment", "run", "--config", str(cfg_path),
+        "--out", str(tmp_path / "out.csv"), "--jobs", "1",
+    ]
+    assert degreelab.cli.main(argv) == 0
+    tracing = load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.active = True
+        assert degreelab.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+
+    calls, _ = tracer.self_times()
+    layers = ("cli.main", "harness.run_experiment", "harness.emit")
+    assert {layer: calls[layer] for layer in layers} == dict.fromkeys(layers, 1)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from degreelab import cli
 from degreelab.cli import main
 from degreelab.concentration import (
     balanced_concentration,
@@ -14,7 +15,7 @@ from degreelab.concentration import (
     predicted_interval_sparse,
 )
 from degreelab.graphs import parse_edge_list
-from degreelab.harness import ExperimentConfig, run_experiment
+from degreelab.harness import ExperimentConfig, emit, run_experiment
 from degreelab.samplers import RejectionLimitError
 
 
@@ -589,3 +590,61 @@ class TestExperimentCommand:
         assert captured.out == ""
         prefix = re.escape(f"argument --config: {cfg_path}: ")
         assert re.search(prefix + message, captured.err)
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and keeps no state between calls."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_flags_do_not_carry_over(self, capsys):
+        argv = ["sample", "gnm", "--n", "30", "--m", "10", "--seed", "1"]
+        _, reported, _ = run_cli(capsys, *argv, "--report")
+        code, plain, _ = run_cli(capsys, *argv)
+        assert code == 0
+        *edges, report = reported.splitlines()
+        assert json.loads(report)["accepted"] is True
+        assert plain.splitlines() == edges
+
+        forest = ["sample", "forest", "--n", "8", "--t", "2", "--seed", "6"]
+        _, codeword, _ = run_cli(capsys, *forest, "--emit", "pruefer")
+        code, out, _ = run_cli(capsys, *forest)
+        assert code == 0
+        assert len(json.loads(codeword)["sequence"]) == 6
+        assert out.splitlines()[0] == "8 6"
+        assert parse_edge_list(out).size == 6
+
+    def test_usage_error_leaves_no_state(self, capsys, tmp_path):
+        config = {"experiment": "bins_concentration", "n": 50, "trials": 5, "seed": 99}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        run = ["experiment", "run", "--config", str(cfg_path)]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*run, "--jobs", "0"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+
+        out = tmp_path / "out.csv"
+        code, stdout, _ = run_cli(capsys, *run, "--out", str(out))
+        assert code == 0
+        result = run_experiment(ExperimentConfig.from_dict(config))
+        expected = tmp_path / "expected.csv"
+        emit(result.records, "csv", str(expected), summary=result.summary)
+        assert out.read_bytes() == expected.read_bytes()
+        assert stdout == json.dumps(result.summary, sort_keys=True) + "\n"
+
+    def test_sampler_is_looked_up_when_the_command_runs(self, capsys, monkeypatch):
+        argv = ["--n", "40", "--m", "20", "--seed", "8"]
+        _, before, _ = run_cli(capsys, "sample", "noncomplex", *argv)
+        calls, sampler = [], cli.sample_noncomplex
+
+        def spy(*args):
+            calls.append(args[:2])
+            return sampler(*args)
+
+        monkeypatch.setattr(cli, "sample_noncomplex", spy)
+        _, after, _ = run_cli(capsys, "sample", "noncomplex", *argv)
+        run_cli(capsys, "sample", "gnm", *argv)
+        assert calls == [(40, 20)]
+        assert after == before
