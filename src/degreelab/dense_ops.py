@@ -61,9 +61,6 @@ class Witness:
         if self.v4 > self.v5 or self.v6 > self.v7:
             raise ValueError("isolated edges must be given smaller endpoint first")
 
-    def as_tuple(self) -> tuple[int, ...]:
-        return (self.v1, self.v2, self.v3, self.v4, self.v5, self.v6, self.v7)
-
 
 def find_witness(graph: SimpleGraph) -> Witness | None:
     """Lexicographically smallest witness tuple, or None if none exists.

@@ -436,12 +436,6 @@ def _edge_arrays(graph: SimpleGraph) -> tuple[np.ndarray, np.ndarray]:
     return pairs[0::2], pairs[1::2]
 
 
-def _component_order(labels: np.ndarray, vertex_counts: np.ndarray) -> list[int]:
-    """Component ids by size descending, then smallest member ascending."""
-    _, first = np.unique(labels, return_index=True)
-    return np.lexsort((first, -vertex_counts)).tolist()
-
-
 def _select(graph: SimpleGraph, mask: np.ndarray) -> list[int]:
     return np.array(graph.vertices, dtype=np.int64)[mask].tolist()
 
@@ -454,7 +448,9 @@ def components(graph: SimpleGraph) -> list[tuple[int, ...]]:
     by_label = np.argsort(labels, kind="stable")
     members = np.array(graph.vertices, dtype=np.int64)[by_label]
     groups = np.split(members, np.cumsum(vertex_counts)[:-1])
-    return [tuple(groups[c].tolist()) for c in _component_order(labels, vertex_counts)]
+    # Components are numbered by smallest member, which a stable sort keeps.
+    order = np.argsort(-vertex_counts, kind="stable")
+    return [tuple(groups[c].tolist()) for c in order.tolist()]
 
 
 def induced_subgraph(graph: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -386,19 +387,28 @@ def graph_class_count_by_assembly(
     if d < 2:
         return 0  # a nonempty remainder forces a vertex of degree >= 2
 
-    rest_count = 0
+    return placements * _remainder_counts(rest_n, planar_only)[rest_m, d]
+
+
+@lru_cache(maxsize=None)
+def _remainder_counts(rest_n: int, planar_only: bool) -> Counter:
+    """(m, d) -> remainders on [rest_n] with m edges and maximum degree d.
+
+    A remainder has no degree-zero vertex and no isolated-edge component,
+    and is planar if ``planar_only``.  A sweep over signatures asks for many
+    (m, d) on the same vertex count, so each tally is made once and cached.
+    """
+    counts: Counter = Counter()
     for edges in all_graphs(rest_n):
-        if len(edges) != rest_m:
-            continue
         deg = forest_degrees(rest_n, edges)
-        if min(deg) == 0 or max(deg) != d:
+        if min(deg) == 0:
             continue
         if any(deg[u - 1] == 1 and deg[v - 1] == 1 for u, v in edges):
             continue
         if planar_only and not networkx_planar(rest_n, edges):
             continue
-        rest_count += 1
-    return placements * rest_count
+        counts[len(edges), max(deg)] += 1
+    return counts
 
 
 #: Labelled planar graphs on n = 1..7 vertices (OEIS A066537).

@@ -54,6 +54,22 @@ def graph_from_mask(n: int, mask: int) -> SimpleGraph:
     return SimpleGraph.from_edges(n, edges)
 
 
+def all_graph_arrays(n: int):
+    """Endpoint arrays (us, vs) of every graph on [n], in edge-mask order."""
+    us, vs = np.array(complete_graph_edges(n), dtype=np.int64).reshape(-1, 2).T
+    bits = np.arange(1 << us.size)[:, None] >> np.arange(us.size) & 1
+    for row in bits.astype(bool):
+        yield us[row], vs[row]
+
+
+def cycle_rank_oracle(n: int, edges) -> dict[frozenset[int], bool]:
+    """Each union-find component -> at least two independent cycles."""
+    return {
+        frozenset(comp): sum(1 for u, _ in edges if u in comp) >= len(comp) + 1
+        for comp in union_find_components(n, edges)
+    }
+
+
 @st.composite
 def small_graphs(draw):
     """A graph on [n], n <= 40, with a random edge subset.
@@ -152,13 +168,14 @@ class TestDegreesAndComponents:
         assert components(graph) == [(1, 2), (5, 6), (3,), (4,)]
 
 
-def complex_by_component(graph: SimpleGraph) -> dict[frozenset[int], bool]:
-    """Each component's vertex set -> ``component_stats``' edges >= vertices + 1."""
-    labels, vertex_counts, edge_counts = component_stats(
-        graph.order, *_edge_arrays(graph)
-    )
+def complex_by_component(vertices, us, vs) -> dict[frozenset[int], bool]:
+    """Each component's vertex set -> ``component_stats``' edges >= vertices + 1.
+
+    The edges (us, vs) are 1-based positions in ``vertices``.
+    """
+    labels, vertex_counts, edge_counts = component_stats(len(vertices), us, vs)
     members: dict[int, set[int]] = {}
-    for v, label in zip(graph.vertices, labels.tolist()):
+    for v, label in zip(vertices, labels.tolist()):
         members.setdefault(label, set()).add(v)
     return {
         frozenset(comp): bool(edge_counts[c] >= vertex_counts[c] + 1)
@@ -169,37 +186,29 @@ def complex_by_component(graph: SimpleGraph) -> dict[frozenset[int], bool]:
 class TestComplexClassification:
     def test_tree_component_not_complex(self):
         graph = SimpleGraph.from_edges(3, [(1, 2), (2, 3)])
-        assert complex_by_component(graph) == {frozenset({1, 2, 3}): False}
+        assert complex_by_component(graph.vertices, *_edge_arrays(graph)) == {
+            frozenset({1, 2, 3}): False
+        }
 
     def test_unicyclic_not_complex(self):
         graph = SimpleGraph.from_edges(3, [(1, 2), (2, 3), (1, 3)])
-        assert complex_by_component(graph) == {frozenset({1, 2, 3}): False}
+        assert complex_by_component(graph.vertices, *_edge_arrays(graph)) == {
+            frozenset({1, 2, 3}): False
+        }
 
     def test_bowtie_is_complex(self):
         graph = SimpleGraph.from_edges(5, BOWTIE)
-        assert complex_by_component(graph) == {frozenset(range(1, 6)): True}
+        assert complex_by_component(graph.vertices, *_edge_arrays(graph)) == {
+            frozenset(range(1, 6)): True
+        }
 
     def test_matches_cycle_rank_oracle_exhaustively(self):
-        from oracles import union_find_components
-
         for n in range(1, 7):
-            n_edges = n * (n - 1) // 2
-            for mask in range(1 << n_edges):
-                graph = graph_from_mask(n, mask)
-                oracle_comps = union_find_components(n, graph.edges)
-                oracle = {
-                    frozenset(comp): sum(1 for u, _ in graph.edges if u in comp)
-                    >= len(comp) + 1
-                    for comp in oracle_comps
-                }
-                assert {frozenset(c) for c in components(graph)} == set(oracle)
-                assert complex_by_component(graph) == oracle
-
-
-def _rank_at_least_two(graph: SimpleGraph, comp) -> bool:
-    comp_set = set(comp)
-    m_c = sum(1 for e in graph.edges if e[0] in comp_set)
-    return m_c >= len(comp_set) + 1
+            for us, vs in all_graph_arrays(n):
+                oracle = cycle_rank_oracle(n, list(zip(us.tolist(), vs.tolist())))
+                found = complex_by_component(range(1, n + 1), us, vs)
+                assert set(found) == set(oracle)
+                assert found == oracle
 
 
 class TestCores:
@@ -238,16 +247,14 @@ class TestCores:
         # Restricting to complex components before peeling agrees with
         # peel-then-drop-bare-cycles on every small graph.
         for n in range(1, 7):
-            for mask in range(1 << (n * (n - 1) // 2)):
-                graph = graph_from_mask(n, mask)
-                complex_vertices = [
-                    v
-                    for comp in components(graph)
-                    if _rank_at_least_two(graph, comp)
-                    for v in comp
-                ]
-                restricted = induced_subgraph(graph, complex_vertices)
-                assert two_core(graph) == peeled_core(restricted)
+            for us, vs in all_graph_arrays(n):
+                edges = list(zip(us.tolist(), vs.tolist()))
+                in_complex = np.zeros(n + 1, dtype=bool)
+                for comp, is_complex in cycle_rank_oracle(n, edges).items():
+                    in_complex[list(comp)] = is_complex
+                keep = in_complex[us]
+                core, _, _ = decompose_masks(n, us, vs)
+                assert np.array_equal(core, peel(n, us[keep], vs[keep]))
 
 
 class TestDecompose:
@@ -343,22 +350,25 @@ class TestDecompose:
                 assert m_c <= len(comp)
 
     def test_core_relation_exhaustive(self):
-        # The core of the big part is the largest core component; the core of
-        # the small part is the rest of the core.
+        # The core of the big part is the largest core component (ties to the
+        # smallest label); the core of the small part is the rest of the core.
         for n in range(1, 7):
-            for mask in range(1 << (n * (n - 1) // 2)):
-                graph = graph_from_mask(n, mask)
-                parts = decompose(graph)
-                core_comps = components(parts.core)
-                if not core_comps:
+            for us, vs in all_graph_arrays(n):
+                core, big, small = decompose_masks(n, us, vs)
+                if not core.any():
                     continue
-                assert two_core(parts.big_complex) == induced_subgraph(
-                    parts.core, core_comps[0]
+                in_core = core[us - 1] & core[vs - 1]
+                core_comps = bfs_components(
+                    (np.flatnonzero(core) + 1).tolist(),
+                    zip(us[in_core].tolist(), vs[in_core].tolist()),
                 )
-                rest = [v for comp in core_comps[1:] for v in comp]
-                assert two_core(parts.small_complex) == induced_subgraph(
-                    parts.core, rest
-                )
+                largest = np.zeros(n, dtype=bool)
+                largest[np.array(core_comps[0]) - 1] = True
+                for part, part_core in ((big, largest), (small, core & ~largest)):
+                    keep = part[us - 1]
+                    assert np.array_equal(
+                        decompose_masks(n, us[keep], vs[keep])[0], part_core
+                    )
 
 
 def random_graph_arrays(rng, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -597,7 +607,9 @@ class TestArrayKernels:
         assert peeled_core(graph).vertices == (3, 8, 9, 20, 21)
         assert two_core(graph).vertices == (3, 8, 9, 20, 21)
         assert decompose(graph).non_complex.vertices == ()
-        assert complex_by_component(graph) == {frozenset(graph.vertices): True}
+        assert complex_by_component(graph.vertices, *_edge_arrays(graph)) == {
+            frozenset(graph.vertices): True
+        }
 
 
 def star_on_triangle(leaves: int) -> tuple[int, np.ndarray, np.ndarray]:
