@@ -220,11 +220,12 @@ def _release_leaves(
     # counts[a, c] = #{non-roots in label blocks < a and step blocks < c}.
     cell = label_block * width + step_block
     counts = np.bincount(cell + (width + 1), minlength=(label_blocks + 1) * width)
-    counts = counts.astype(np.int32).reshape(label_blocks + 1, width)
+    # int32 from the first prefix sum on; ``take`` gathers from the flat
+    # array, faster than fancy indexing a ``ravel`` of it.
+    counts = np.cumsum(counts.reshape(label_blocks + 1, width), axis=1, dtype=np.int32)
     np.cumsum(counts, axis=0, out=counts)
-    np.cumsum(counts, axis=1, out=counts)
-    lower = counts.ravel()[cell]
-    upper = counts.ravel()[cell + (width + 1)] - 1
+    lower = counts.take(cell)
+    upper = counts.take(cell + (width + 1)) - 1
     released = rel > 0
     on_time = released & (upper <= rel)
     open_ = np.flatnonzero(released & (lower <= rel) & (rel < upper))

@@ -10,7 +10,8 @@ bounded away from zero for m = O(n).
 
 A uniform complex part with a prescribed core is built directly, without
 rejection, by attaching a uniform rooted forest to the core's vertices:
-``complex_part_arrays`` returns its endpoint arrays, the core's edges first.
+``complex_part_arrays`` returns its endpoint arrays, the core's edges first,
+and ``complex_part_degrees`` reads its degrees off the forest's codeword.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ import numpy as np
 
 from degreelab.balls_bins import loads as bin_loads
 from degreelab.balls_bins import sample_locations
-from degreelab.graphs import SimpleGraph, _edge_arrays, has_complex_component
+from degreelab.graphs import (
+    SimpleGraph,
+    _edge_arrays,
+    degree_sequence,
+    has_complex_component,
+)
 from degreelab.pruefer import decode_arrays, sample_codeword, validate_forest
 
 REJECT_LOOP = "loop"
@@ -152,24 +158,52 @@ def _graft(
     return np.concatenate((core_us, forest_lo)), np.concatenate((core_vs, forest_hi))
 
 
+def graft_codeword(
+    core: SimpleGraph, codeword: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays of the forest a codeword for F(q, v(core)) encodes,
+    grafted onto ``core`` (one root per core vertex), the core's edges first.
+
+    The forest's edges follow in the order of ``decode_arrays``, where the
+    leaf of each edge appears in no later edge.  ``harness`` relies on that
+    order to check the core without peeling.
+    """
+    v = core.order
+    return _graft(core, *decode_arrays(codeword, len(codeword) + v, v))
+
+
+def complex_part_degrees(core: SimpleGraph, codeword: np.ndarray) -> np.ndarray:
+    """Degree sequence on [q] of ``graft_codeword(core, codeword)``, read off
+    the codeword without decoding it.
+
+    A forest's degrees are its codeword's occurrence counts plus one for
+    every non-root (as in ``pruefer.sample_forest_degrees``), and grafting
+    adds each core vertex's core degree.  That is one ``bincount`` of the
+    q - v entries, where counting the grafted arrays takes 2(q + e(core)).
+    """
+    v = core.order
+    degrees = np.bincount(codeword, minlength=len(codeword) + v + 1)[1:]
+    degrees[v:] += 1
+    degrees[:v] += degree_sequence(core)
+    return degrees
+
+
 def complex_part_arrays(
     core: SimpleGraph, q: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays of a uniform graph on [q] whose peeling recovers ``core``.
 
     Draws a uniform codeword for F(q, v(core)) and grafts the forest it
-    encodes onto the core, one root per core vertex.  The first
-    ``core.size`` edges are the core's; the forest's follow in the order of
-    ``decode_arrays``, where the leaf of each edge appears in no later edge.
-    ``harness`` relies on that order to check the core without peeling.
-    When the core has no bare-cycle component the result is a uniform
-    complex graph with that core.
+    encodes onto the core with ``graft_codeword``: the first ``core.size``
+    edges are the core's, the forest's follow in leaf order.  When the core
+    has no bare-cycle component the result is a uniform complex graph with
+    that core.
     """
     validate_core(core)
     v = core.order
     if q < v + 1:
         raise ValueError(f"q must be at least v(core) + 1 = {v + 1}, got {q}")
-    return _graft(core, *decode_arrays(sample_codeword(q, v, rng), q, v))
+    return graft_codeword(core, sample_codeword(q, v, rng))
 
 
 def complex_part_from_forest(core: SimpleGraph, forest: SimpleGraph) -> SimpleGraph:

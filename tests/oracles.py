@@ -390,6 +390,15 @@ def graph_class_count_by_assembly(
     return placements * _remainder_counts(rest_n, planar_only)[rest_m, d]
 
 
+def _planar_by_edge_count(n: int, edges) -> bool:
+    """Planarity, from the edge count alone where it decides, else networkx."""
+    if len(edges) <= 8:
+        return True
+    if n >= 3 and len(edges) > 3 * n - 6:
+        return False
+    return networkx_planar(n, edges)
+
+
 @lru_cache(maxsize=None)
 def _remainder_counts(rest_n: int, planar_only: bool) -> Counter:
     """(m, d) -> remainders on [rest_n] with m edges and maximum degree d.
@@ -397,6 +406,10 @@ def _remainder_counts(rest_n: int, planar_only: bool) -> Counter:
     A remainder has no degree-zero vertex and no isolated-edge component,
     and is planar if ``planar_only``.  A sweep over signatures asks for many
     (m, d) on the same vertex count, so each tally is made once and cached.
+    networkx is asked only where the edge count leaves planarity open: a
+    graph with at most 8 edges is planar (K3,3 has 9, K5 has 10, and every
+    non-planar graph contains a subdivision of one), and one with more than
+    3v - 6 edges on v >= 3 vertices is not (Euler's formula).
     """
     counts: Counter = Counter()
     for edges in all_graphs(rest_n):
@@ -405,7 +418,7 @@ def _remainder_counts(rest_n: int, planar_only: bool) -> Counter:
             continue
         if any(deg[u - 1] == 1 and deg[v - 1] == 1 for u, v in edges):
             continue
-        if planar_only and not networkx_planar(rest_n, edges):
+        if planar_only and not _planar_by_edge_count(rest_n, edges):
             continue
         counts[len(edges), max(deg)] += 1
     return counts

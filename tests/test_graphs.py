@@ -16,6 +16,7 @@ from degreelab.graphs import (
     _edge_arrays,
     _kuratowski_masks,
     _leaf_ordered_core,
+    _peel,
     complete_graph_edges,
     component_stats,
     components,
@@ -370,6 +371,39 @@ class TestDecompose:
                         decompose_masks(n, us[keep], vs[keep])[0], part_core
                     )
 
+    @staticmethod
+    def _assert_parts_are_components(n: int, edges: list[tuple[int, int]]):
+        """Every vertex lies in a core, so the parts are the components: the
+        big part the larger (ties to the smallest label), the small the other."""
+        us, vs = (np.array(side, dtype=np.int64) for side in zip(*edges))
+        first, second = bfs_components(range(1, n + 1), edges)
+        core, big, small = mask_sets(decompose_masks(n, us, vs))
+        assert core == set(range(1, n + 1))
+        assert (big, small) == (set(first), set(second))
+
+    def test_k4_beside_a_larger_core_is_the_small_part(self):
+        # Every 4-set of [9] carries a K4 and the other five vertices a
+        # bowtie, centred at each of them with each pairing of the rest:
+        # both sides of the smallest label, and a nonempty small part.
+        for quad in combinations(range(1, 10), 4):
+            rest = [x for x in range(1, 10) if x not in quad]
+            for centre in rest:
+                a, *others = [x for x in rest if x != centre]
+                for b in others:
+                    c, d = (x for x in others if x != b)
+                    bowtie = [(a, b), (c, d)] + [(centre, x) for x in (a, b, c, d)]
+                    self._assert_parts_are_components(
+                        9, list(combinations(quad, 2)) + bowtie
+                    )
+
+    def test_equal_k4_cores_tie_to_the_smallest_label(self):
+        for quad in combinations(range(2, 9), 3):
+            half = (1, *quad)
+            other = [x for x in range(1, 9) if x not in half]
+            self._assert_parts_are_components(
+                8, list(combinations(half, 2)) + list(combinations(other, 2))
+            )
+
 
 def random_graph_arrays(rng, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays of a uniform simple graph on [n] with m edges."""
@@ -416,10 +450,15 @@ def kernel_cases():
 TRIANGLE = [(1, 2), (2, 3), (1, 3)]
 
 
+def degrees_of(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Degree sequence on [n], degree[v - 1] of vertex v."""
+    return np.bincount(np.concatenate((us, vs)).astype(np.intp), minlength=n + 1)[1:]
+
+
 def first_frontier(n: int, us: np.ndarray, vs: np.ndarray) -> int:
-    """Number of vertices of degree <= 1, the width of the peel's first round."""
-    degree = np.bincount(np.concatenate((us, vs)), minlength=n + 1)[1:]
-    return int(np.count_nonzero(degree <= 1))
+    """Number of vertices of degree 1, the width of the peel's first round
+    (isolated vertices start dead and never enter a frontier)."""
+    return int(np.count_nonzero(degrees_of(n, us, vs) == 1))
 
 
 def mask_sets(masks) -> list[set[int]]:
@@ -636,6 +675,57 @@ def bulk_cases():
     yield pytest.param(3000, *forest, id="forest-no-core")
     for leaves in (65, 200):
         yield pytest.param(*star_on_triangle(leaves), id=f"star-{leaves}-on-triangle")
+
+
+def assert_peel_same_with_degrees(n: int, us: np.ndarray, vs: np.ndarray):
+    """``_peel`` given the degree sequence returns what it returns when it
+    counts the endpoints itself, and leaves the given array as it was."""
+    degree = degrees_of(n, us, vs)
+    given = degree.copy()
+    alive, bulk, tail = _peel(n, us, vs, record=True)
+    given_alive, given_bulk, given_tail = _peel(n, us, vs, record=True, degree=given)
+    np.testing.assert_array_equal(given, degree)
+    np.testing.assert_array_equal(given_alive, alive)
+    assert given_tail == tail
+    assert len(given_bulk) == len(bulk)
+    for (leaves, parents), (given_leaves, given_parents) in zip(bulk, given_bulk):
+        np.testing.assert_array_equal(given_leaves, leaves)
+        np.testing.assert_array_equal(given_parents, parents)
+
+
+def assert_kernels_same_with_degrees(n: int, us, vs, degree: np.ndarray):
+    """``peel`` and ``decompose_masks`` given the degrees, against counting."""
+    np.testing.assert_array_equal(peel(n, us, vs, degree), peel(n, us, vs))
+    counted, given = decompose_masks(n, us, vs), decompose_masks(n, us, vs, degree)
+    for mask, given_mask in zip(counted, given):
+        np.testing.assert_array_equal(given_mask, mask)
+
+
+class TestPeelGivenDegrees:
+    def test_every_graph_up_to_six_vertices(self):
+        for n in range(1, 7):
+            for us, vs in all_graph_arrays(n):
+                assert_peel_same_with_degrees(n, us, vs)
+
+    @pytest.mark.parametrize("n, us, vs", bulk_cases())
+    def test_bulk_cases(self, n, us, vs):
+        assert_peel_same_with_degrees(n, us, vs)
+        assert_kernels_same_with_degrees(n, us, vs, degrees_of(n, us, vs))
+
+    def test_loads_of_the_sampler(self):
+        rng = np.random.default_rng(31)
+        for n, m in ((1, 0), (40, 0), (40, 30), (3000, 1800), (3000, 3600)):
+            us, vs, loads, _ = sample_gnm_arrays(n, m, rng)
+            assert_kernels_same_with_degrees(n, us, vs, loads)
+
+    def test_isolated_vertices_are_never_visited(self):
+        # Three leaves and 200 isolated vertices: the first frontier is the
+        # three leaves, under the bulk threshold, so the stack alone peels.
+        n, us, vs = star_on_triangle(3)
+        n += 200
+        alive, bulk, tail = _peel(n, us, vs, record=True)
+        assert bulk == [] and len(tail) == 5
+        assert np.flatnonzero(alive).tolist() == [1, 2, 3]
 
 
 class TestPeelBulkRounds:

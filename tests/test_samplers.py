@@ -18,13 +18,21 @@ from degreelab.graphs import (
     peeled_core,
     two_core,
 )
-from degreelab.pruefer import decode, sample_uniform_forest, validate_forest
+from degreelab.pruefer import (
+    _VECTOR_DECODE,
+    decode,
+    sample_codeword,
+    sample_uniform_forest,
+    validate_forest,
+)
 from degreelab.rng import derive_rng
 from degreelab.samplers import (
     RejectionLimitError,
     build_complex_part,
     complex_part_arrays,
+    complex_part_degrees,
     complex_part_from_forest,
+    graft_codeword,
     sample_gnm,
     sample_gnm_arrays,
     sample_noncomplex,
@@ -376,3 +384,39 @@ class TestComplexPart:
             build_complex_part(shifted, 10, derive_rng(42, 0))
         with pytest.raises(ValueError):
             build_complex_part(TRIANGLE, 3, derive_rng(42, 0))
+
+
+def endpoint_degrees(q: int, us: np.ndarray, vs: np.ndarray) -> list[int]:
+    return np.bincount(np.concatenate((us, vs)), minlength=q + 1)[1:].tolist()
+
+
+class TestComplexPartDegrees:
+    """``complex_part_degrees`` reads off the codeword what counting the
+    endpoints of the grafted arrays gives."""
+
+    @pytest.mark.parametrize("core", [TRIANGLE, BOWTIE], ids=["triangle", "bowtie"])
+    def test_every_codeword_up_to_six_vertices(self, core):
+        v = core.order
+        for q in range(v + 1, 7):
+            for body in product(range(1, q + 1), repeat=q - v - 1):
+                for last in range(1, v + 1):
+                    codeword = np.array([*body, last], dtype=np.int64)
+                    us, vs = graft_codeword(core, codeword)
+                    assert complex_part_degrees(core, codeword).tolist() == (
+                        endpoint_degrees(q, us, vs)
+                    )
+
+    @pytest.mark.parametrize("core", [TRIANGLE, BOWTIE], ids=["triangle", "bowtie"])
+    def test_random_sizes_on_both_decode_paths(self, core):
+        # The same generator draws the same codeword for both, so the
+        # arrays are those the campaign trial would have counted.
+        rng = np.random.default_rng(2718)
+        sizes = [_VECTOR_DECODE - 1, _VECTOR_DECODE]
+        sizes += rng.integers(core.order + 1, _VECTOR_DECODE, size=6).tolist()
+        sizes += rng.integers(_VECTOR_DECODE, 4 * _VECTOR_DECODE, size=6).tolist()
+        for i, q in enumerate(sizes):
+            codeword = sample_codeword(q, core.order, derive_rng(61, i))
+            us, vs = complex_part_arrays(core, q, derive_rng(61, i))
+            degrees = complex_part_degrees(core, codeword)
+            assert degrees.tolist() == endpoint_degrees(q, us, vs)
+            assert int(degrees.sum()) == 2 * (q - core.order + core.size)
