@@ -252,11 +252,12 @@ def _peel(
 ) -> tuple:
     """The peel of ``peel``, on the labels with slot 0 a dead sentinel.
 
-    ``degree`` is the degree sequence on [n] when the caller already has it
-    (the bin loads of ``samplers.sample_gnm_arrays``); it is copied, not
-    modified.  Without it the peel counts the endpoints itself.  Vertices of
-    degree 0 start dead and never enter a frontier, so the first frontier is
-    the vertices of degree exactly 1.
+    ``degree`` is the degree sequence on [n] (degree[v - 1] of vertex v)
+    when the caller already has it, as ``_decompose`` gets it from the
+    decomposition trial (the bin loads of ``samplers.sample_gnm_arrays``);
+    it is copied, not modified.  Without it the peel counts the endpoints
+    itself.  Vertices of degree 0 start dead and never enter a frontier, so
+    the first frontier is the vertices of degree exactly 1.
 
     Returns (alive, bulk, tail).  With ``record``, ``bulk`` lists one
     (leaves, parents) array pair per bulk round and ``tail`` one (leaf,
@@ -267,6 +268,8 @@ def _peel(
     if degree is None:
         degree = np.bincount(us, minlength=n + 1)
         degree += np.bincount(vs, minlength=n + 1)
+    elif np.shape(degree) != (n,):
+        raise ValueError(f"degree must have shape ({n},), got {np.shape(degree)}")
     else:
         degree = np.concatenate(([0], degree), dtype=np.intp)
     link = np.zeros(n + 1, dtype=np.intp)
@@ -303,19 +306,14 @@ def _peel(
     return alive, bulk, tail
 
 
-def peel(
-    n: int, us: np.ndarray, vs: np.ndarray, degree: np.ndarray | None = None
-) -> np.ndarray:
+def peel(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Mask of the vertices left after recursively deleting those of degree <= 1.
 
-    alive[v - 1] is True iff v lies in the classical 2-core.  ``degree``,
-    if given, is the degree sequence on [n] (degree[v - 1] of vertex v), as
-    a sampler that fixes it returns it; the peel then skips counting the
-    endpoints and leaves the array unchanged.  The peel keeps two arrays on
-    the labels, with slot 0 a dead sentinel: each vertex's live degree and
-    ``link``, the sum of its live neighbours.  A vertex of degree one
-    therefore has ``link[v]`` as its one live neighbour, and one whose last
-    neighbour died has link 0, the sentinel, so deleting a leaf v is
+    alive[v - 1] is True iff v lies in the classical 2-core.  The peel keeps
+    two arrays on the labels, with slot 0 a dead sentinel: each vertex's live
+    degree and ``link``, the sum of its live neighbours.  A vertex of degree
+    one therefore has ``link[v]`` as its one live neighbour, and one whose
+    last neighbour died has link 0, the sentinel, so deleting a leaf v is
     ``degree[p] -= 1; link[p] -= v`` with ``p = link[v]`` and needs no
     adjacency index (the peeling step of Graf & Lemire's XOR filters, with a
     sum in place of the XOR).  A sum is at most n * deg(v) < 2^63, and every
@@ -332,7 +330,7 @@ def peel(
     rounds, and the stack then finishes the narrow tail of hanging trees that
     are ~sqrt(n) deep, which would otherwise cost one NumPy round per level.
     """
-    return _peel(n, us, vs, record=False, degree=degree)[0][1:]
+    return _peel(n, us, vs, record=False)[0][1:]
 
 
 def _leaf_ordered_core(
@@ -401,7 +399,10 @@ def _decompose(
     """The masks of ``decompose_masks`` on the labels, each with a False slot 0.
 
     Indexed by the 1-based labels directly, so statistics over the edges
-    need no ``us - 1`` temporaries.
+    need no ``us - 1`` temporaries.  ``degree`` is handed to ``_peel``.  The
+    decomposition trial of ``harness``, which has the degrees and reads the
+    masks at the endpoints, is the one caller of these padded masks; every
+    other caller goes through ``decompose_masks``.
     """
     alive, bulk, tail = _peel(n, us, vs, record=True, degree=degree)
     us, vs = np.asarray(us, dtype=np.intp), np.asarray(vs, dtype=np.intp)
@@ -436,7 +437,7 @@ def _decompose(
 
 
 def decompose_masks(
-    n: int, us: np.ndarray, vs: np.ndarray, degree: np.ndarray | None = None
+    n: int, us: np.ndarray, vs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vertex masks (core, big, small) of the decomposition of the graph on [n].
 
@@ -445,8 +446,6 @@ def decompose_masks(
     components correspond one to one; ``big`` is the complex component with
     the most core vertices (ties to the smallest core vertex) and ``small``
     the other complex components.  The non-complex part is ~(big | small).
-    ``degree``, if given, is the degree sequence on [n], handed to the peel
-    as ``peel`` takes it.
 
     The graph is peeled first; isolated vertices start dead and stay in the
     non-complex part.  Deleting a leaf keeps its component connected and
@@ -459,7 +458,7 @@ def decompose_masks(
     the bulk rounds as gathers.  A vertex deleted with no live parent lies in
     a tree component and belongs to no complex one.
     """
-    core, big, small = _decompose(n, us, vs, degree)
+    core, big, small = _decompose(n, us, vs)
     return core[1:], big[1:], small[1:]
 
 

@@ -220,12 +220,11 @@ def _release_leaves(
     # counts[a, c] = #{non-roots in label blocks < a and step blocks < c}.
     cell = label_block * width + step_block
     counts = np.bincount(cell + (width + 1), minlength=(label_blocks + 1) * width)
-    # int32 from the first prefix sum on; ``take`` gathers from the flat
-    # array, faster than fancy indexing a ``ravel`` of it.
-    counts = np.cumsum(counts.reshape(label_blocks + 1, width), axis=1, dtype=np.int32)
+    counts = counts.astype(np.int32).reshape(label_blocks + 1, width)
     np.cumsum(counts, axis=0, out=counts)
-    lower = counts.take(cell)
-    upper = counts.take(cell + (width + 1)) - 1
+    np.cumsum(counts, axis=1, out=counts)
+    lower = counts.ravel()[cell]
+    upper = counts.ravel()[cell + (width + 1)] - 1
     released = rel > 0
     on_time = released & (upper <= rel)
     open_ = np.flatnonzero(released & (lower <= rel) & (rel < upper))
@@ -325,12 +324,23 @@ def sample_uniform_forest(n: int, t: int, rng: np.random.Generator) -> SimpleGra
 def sample_forest_degrees(n: int, t: int, rng: np.random.Generator) -> np.ndarray:
     """Degree sequence of a uniform forest from F(n, t), without building it.
 
-    Draws a uniform codeword and reads the degrees off it: occurrence counts,
-    plus one for every non-root.  Consumes the generator exactly like
+    Draws a uniform codeword and reads the degrees off it with
+    ``codeword_degrees``.  Consumes the generator exactly like
     ``sample_uniform_forest``, so the same seed yields the degrees of the
     same forest.
     """
-    body, last = _draw_codeword(n, t, rng)
+    return codeword_degrees(*_draw_codeword(n, t, rng), n, t)
+
+
+def codeword_degrees(body: np.ndarray, last: int, n: int, t: int) -> np.ndarray:
+    """Degree sequence on [n] of the forest in F(n, t) whose codeword is
+    ``body`` followed by the root ``last``, read off without decoding it.
+
+    A vertex appears in the codeword once for each of its children, and a
+    non-root has one more edge, to its parent: each degree is the occurrence
+    count, plus one for every non-root.  The codeword comes in two pieces
+    because a sampler draws it so; joining them would copy n - t entries.
+    """
     degrees = np.bincount(body, minlength=n + 1)[1:]
     degrees[last - 1] += 1
     degrees[t:] += 1

@@ -28,7 +28,12 @@ from degreelab.graphs import (
     degree_sequence,
     has_complex_component,
 )
-from degreelab.pruefer import decode_arrays, sample_codeword, validate_forest
+from degreelab.pruefer import (
+    codeword_degrees,
+    decode_arrays,
+    sample_codeword,
+    validate_forest,
+)
 
 REJECT_LOOP = "loop"
 REJECT_PARALLEL = "parallel_edge"
@@ -176,14 +181,13 @@ def complex_part_degrees(core: SimpleGraph, codeword: np.ndarray) -> np.ndarray:
     """Degree sequence on [q] of ``graft_codeword(core, codeword)``, read off
     the codeword without decoding it.
 
-    A forest's degrees are its codeword's occurrence counts plus one for
-    every non-root (as in ``pruefer.sample_forest_degrees``), and grafting
-    adds each core vertex's core degree.  That is one ``bincount`` of the
-    q - v entries, where counting the grafted arrays takes 2(q + e(core)).
+    The forest's degrees come from ``pruefer.codeword_degrees`` and
+    grafting adds each core vertex's core degree.  That is one ``bincount``
+    of the q - v entries, where counting the grafted arrays takes
+    2(q + e(core)).
     """
     v = core.order
-    degrees = np.bincount(codeword, minlength=len(codeword) + v + 1)[1:]
-    degrees[v:] += 1
+    degrees = codeword_degrees(codeword[:-1], int(codeword[-1]), len(codeword) + v, v)
     degrees[:v] += degree_sequence(core)
     return degrees
 

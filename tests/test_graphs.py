@@ -15,6 +15,7 @@ from degreelab.graphs import (
     SimpleGraph,
     _edge_arrays,
     _kuratowski_masks,
+    _decompose,
     _leaf_ordered_core,
     _peel,
     complete_graph_edges,
@@ -693,12 +694,12 @@ def assert_peel_same_with_degrees(n: int, us: np.ndarray, vs: np.ndarray):
         np.testing.assert_array_equal(given_parents, parents)
 
 
-def assert_kernels_same_with_degrees(n: int, us, vs, degree: np.ndarray):
-    """``peel`` and ``decompose_masks`` given the degrees, against counting."""
-    np.testing.assert_array_equal(peel(n, us, vs, degree), peel(n, us, vs))
-    counted, given = decompose_masks(n, us, vs), decompose_masks(n, us, vs, degree)
-    for mask, given_mask in zip(counted, given):
-        np.testing.assert_array_equal(given_mask, mask)
+def assert_decompose_same_with_degrees(n: int, us, vs, degree: np.ndarray):
+    """``_decompose`` given the degrees returns the masks of
+    ``decompose_masks``, which counts them, behind a False slot 0."""
+    for mask, padded in zip(decompose_masks(n, us, vs), _decompose(n, us, vs, degree)):
+        assert not padded[0]
+        np.testing.assert_array_equal(padded[1:], mask)
 
 
 class TestPeelGivenDegrees:
@@ -710,13 +711,19 @@ class TestPeelGivenDegrees:
     @pytest.mark.parametrize("n, us, vs", bulk_cases())
     def test_bulk_cases(self, n, us, vs):
         assert_peel_same_with_degrees(n, us, vs)
-        assert_kernels_same_with_degrees(n, us, vs, degrees_of(n, us, vs))
+        assert_decompose_same_with_degrees(n, us, vs, degrees_of(n, us, vs))
 
     def test_loads_of_the_sampler(self):
         rng = np.random.default_rng(31)
         for n, m in ((1, 0), (40, 0), (40, 30), (3000, 1800), (3000, 3600)):
             us, vs, loads, _ = sample_gnm_arrays(n, m, rng)
-            assert_kernels_same_with_degrees(n, us, vs, loads)
+            assert_decompose_same_with_degrees(n, us, vs, loads)
+
+    def test_degrees_of_the_wrong_length_are_refused(self):
+        us, vs = np.array([1, 2]), np.array([2, 3])
+        for degree in (np.array([1, 2]), np.array([0, 1, 2, 1])):
+            with pytest.raises(ValueError, match="shape"):
+                _peel(3, us, vs, record=False, degree=degree)
 
     def test_isolated_vertices_are_never_visited(self):
         # Three leaves and 200 isolated vertices: the first frontier is the

@@ -17,6 +17,7 @@ from degreelab.pruefer import (
     _VECTOR_DECODE,
     _pointer_leaves,
     _release_leaves,
+    codeword_degrees,
     count_forests,
     decode,
     decode_arrays,
@@ -318,6 +319,9 @@ class TestDegreeFormula:
                 codeword = encode(SimpleGraph.from_edges(n, edges), t)
                 degrees = forest_degrees(n, edges)
                 assert _codeword_degrees(codeword, n, t) == list(degrees)
+                body = np.array(codeword[:-1], dtype=np.int64)
+                read_off = codeword_degrees(body, codeword[-1], n, t)
+                assert read_off.tolist() == list(degrees)
 
 
 class TestCounting:
