@@ -167,7 +167,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--out", type=_out_path, help="write records to this path")
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_run.add_argument("--jobs", type=int, help="parallel workers (default: env or 1)")
+    p_run.add_argument(
+        "--jobs",
+        type=int,
+        metavar="N",
+        help="run trials on at most N processes, forking workers only once the "
+        "trials left will outlast starting them (default: env or 1)",
+    )
     p_run.set_defaults(handler=_cmd_experiment, parser=p_run)
 
     return parser

@@ -9,7 +9,8 @@ import os
 import signal
 import time
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, count
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,18 @@ from degreelab.harness import (
 from degreelab.rng import derive_seed, mix64
 
 TRIANGLE = ((1, 2), (1, 3), (2, 3))
+
+
+@pytest.fixture
+def eager_workers():
+    """Price campaign workers at 0 s, so ``jobs`` >= 2 forks before the first trial.
+
+    It patches through its own MonkeyPatch, so a test's ``monkeypatch.undo()``
+    leaves it in place.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_WORKER_START_S", 0.0)
+        yield
 
 
 class TestSeedDerivation:
@@ -445,7 +458,7 @@ class TestRunExperiment:
         assert first.records == second.records
         assert first.summary == second.summary
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, eager_workers):
         cfg = ExperimentConfig(
             experiment="noncomplex_maxdegree", n=60, m=30, trials=6, seed=13
         )
@@ -576,7 +589,7 @@ class TestRunExperiment:
         assert strict_summary["hit_rate"] < 1.0
         assert strict_summary["thresholds_met"] is False
 
-    def test_never_more_workers_than_trials(self, monkeypatch):
+    def test_never_more_workers_than_trials(self, monkeypatch, eager_workers):
         started = []
 
         class CountedProcess(multiprocessing.Process):
@@ -593,11 +606,8 @@ class TestRunExperiment:
         assert run_experiment(five, jobs=2) == run_experiment(five, jobs=1)
         assert len(started) == 3
 
-    def test_one_trial_builds_no_pool_at_any_jobs(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a worker process was started")
-
-        monkeypatch.setattr(harness, "Process", refuse)
+    def test_one_trial_builds_no_pool_at_any_jobs(self, monkeypatch, eager_workers):
+        monkeypatch.setattr(harness, "Process", _refuse_worker)
         one = ExperimentConfig(experiment="bins_concentration", n=50, seed=1)
         assert run_experiment(one, jobs=4) == run_experiment(one, jobs=1)
 
@@ -611,6 +621,24 @@ class TestRunExperiment:
         monkeypatch.setenv("DEGREELAB_JOBS", "two")
         with pytest.raises(ValueError, match="DEGREELAB_JOBS.*'two'"):
             default_jobs()
+
+    @pytest.mark.parametrize(
+        "jobs,message",
+        [
+            (2.0, "jobs must be an integer, got 2.0"),
+            ("2", "jobs must be an integer, got '2'"),
+            (True, "jobs must be an integer, got True"),
+            (0, "jobs must be a positive integer, got 0"),
+        ],
+    )
+    def test_bad_jobs_names_jobs_and_value(self, jobs, message):
+        cfg = ExperimentConfig(experiment="bins_concentration", n=50, trials=2, seed=1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_experiment(cfg, jobs=jobs)
+
+
+def _refuse_worker(*args, **kwargs):
+    raise AssertionError("a worker process was started")
 
 
 def _in_worker() -> bool:
@@ -635,6 +663,7 @@ def _raise_here_while_workers_sleep(cfg, plan, rng, aux):
     raise ValueError("trial failed in the campaign's own process")
 
 
+@pytest.mark.usefixtures("eager_workers")
 class TestWorkers:
     """Campaigns at ``jobs`` >= 2 share their trials with forked workers."""
 
@@ -694,6 +723,61 @@ class TestWorkers:
         assert multiprocessing.active_children() == []
 
 
+class TestWorkerStart:
+    """Workers start only once the trials left outlast starting them."""
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_cheap_trials_start_no_worker(self, monkeypatch, jobs):
+        cfg = ExperimentConfig(experiment="bins_concentration", n=50, trials=16, seed=1)
+        serial = run_experiment(cfg, jobs=1)
+        # A clock that reads 50 us per trial, as these trials take when the
+        # host does not stall them: 15 such trials never pay for a worker.
+        clock = SimpleNamespace(perf_counter=count(0, 50e-6).__next__)
+        monkeypatch.setattr(harness, "time", clock)
+        monkeypatch.setattr(harness, "Process", _refuse_worker)
+        assert run_experiment(cfg, jobs=jobs) == serial
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_slow_trials_start_workers_after_the_first(
+        self, monkeypatch, tmp_path, jobs
+    ):
+        cfg = ExperimentConfig(
+            experiment="bins_concentration", n=[50, 100], trials=4, seed=3
+        )
+        serial = run_experiment(cfg, jobs=1)
+        # Events in this process only: workers append to their own copies.
+        events: list[str] = []
+
+        def slow_trial(cfg, plan, rng, aux):
+            events.append("trial")
+            time.sleep(0.005)
+            return harness._bins_trial(cfg, plan, rng, aux)
+
+        class CountedProcess(multiprocessing.Process):
+            def start(self):
+                events.append("start")
+                super().start()
+
+        monkeypatch.setitem(
+            harness._KINDS,
+            "bins_concentration",
+            replace(harness._KINDS["bins_concentration"], trial=slow_trial),
+        )
+        monkeypatch.setattr(harness, "Process", CountedProcess)
+        result = run_experiment(cfg, jobs=jobs)
+        assert multiprocessing.active_children() == []
+        # 5 ms trials pay for 2 ms workers from the second trial on.
+        assert events[:jobs] == ["trial"] + ["start"] * (jobs - 1)
+        assert events.count("start") == jobs - 1
+        blobs = []
+        for fmt in ("csv", "json"):
+            for tag, res in (("serial", serial), ("forked", result)):
+                path = tmp_path / f"{tag}.{fmt}"
+                emit(res.records, fmt, str(path), summary=res.summary)
+                blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1] and blobs[2] == blobs[3]
+
+
 class TestEmit:
     def test_empty_records_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -739,7 +823,7 @@ class TestEmit:
         with pytest.raises(ValueError):
             emit([], "xml", str(tmp_path / "x"))
 
-    def test_byte_identical_across_runs_and_jobs(self, tmp_path):
+    def test_byte_identical_across_runs_and_jobs(self, tmp_path, eager_workers):
         cfg = ExperimentConfig(
             experiment="bins_concentration", n=40, trials=5, seed=77, eps=1.0
         )
@@ -808,14 +892,14 @@ def _csv_digest(cfg: ExperimentConfig, jobs: int, tmp_path) -> str:
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("kind", sorted(PINNED_CSV))
-def test_structure_campaign_csv_bytes_are_pinned(kind, jobs, tmp_path):
+def test_structure_campaign_csv_bytes_are_pinned(kind, jobs, tmp_path, eager_workers):
     cfg, digest = PINNED_CSV[kind]
     assert _csv_digest(cfg, jobs, tmp_path) == digest
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("kind", sorted(PINNED_SAMPLING_CSV))
-def test_sampling_campaign_csv_bytes_are_pinned(kind, jobs, tmp_path):
+def test_sampling_campaign_csv_bytes_are_pinned(kind, jobs, tmp_path, eager_workers):
     cfg, digest = PINNED_SAMPLING_CSV[kind]
     assert _csv_digest(cfg, jobs, tmp_path) == digest
 
@@ -883,7 +967,7 @@ PINNED_JSON = {
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("name", sorted(PINNED_JSON))
-def test_campaign_json_bytes_are_pinned(name, jobs, tmp_path):
+def test_campaign_json_bytes_are_pinned(name, jobs, tmp_path, eager_workers):
     cfg, digest = PINNED_JSON[name]
     result = run_experiment(cfg, jobs=jobs)
     path = tmp_path / f"{name}.json"
