@@ -61,6 +61,8 @@ def _out_path(path: str) -> str:
     Checked when the arguments are parsed, so a bad path fails before the
     campaign runs; the file itself is neither created nor truncated here.
     """
+    if not path:
+        raise argparse.ArgumentTypeError("the path is empty")
     if os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"{path}: is a directory")
     parent = os.path.dirname(path) or "."
@@ -293,7 +295,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     result = harness.run_experiment(args.config, jobs=args.jobs)
-    if args.out:
+    if args.out is not None:
         harness.emit(result.records, args.format, args.out, summary=result.summary)
     print(json.dumps(result.summary, sort_keys=True))
     if result.summary.get("thresholds_met") is False:

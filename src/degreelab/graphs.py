@@ -247,7 +247,6 @@ def _peel(
     n: int,
     us: np.ndarray,
     vs: np.ndarray,
-    record: bool,
     degree: np.ndarray | None = None,
 ) -> tuple:
     """The peel of ``peel``, on the labels with slot 0 a dead sentinel.
@@ -259,10 +258,10 @@ def _peel(
     itself.  Vertices of degree 0 start dead and never enter a frontier, so
     the first frontier is the vertices of degree exactly 1.
 
-    Returns (alive, bulk, tail).  With ``record``, ``bulk`` lists one
-    (leaves, parents) array pair per bulk round and ``tail`` one (leaf,
-    parent) pair per step of the stack, each for the leaves deleted while
-    their parent was live, in deletion order; otherwise both are empty.
+    Returns (alive, bulk, tail): ``bulk`` lists one (leaves, parents) array
+    pair per bulk round and ``tail`` one (leaf, parent) pair per step of the
+    stack, each for the leaves deleted while their parent was live, in
+    deletion order.  ``peel`` drops the lists, which cost no measurable time.
     """
     us, vs = np.asarray(us, dtype=np.intp), np.asarray(vs, dtype=np.intp)
     if degree is None:
@@ -286,8 +285,7 @@ def _peel(
         leaves, parents = frontier[live], parents[live]
         np.subtract.at(degree, parents, 1)
         np.subtract.at(link, parents, leaves)
-        if record:
-            bulk.append((leaves, parents))
+        bulk.append((leaves, parents))
         frontier = _distinct(parents[degree[parents] <= 1])
     stack = frontier.tolist()
     alive_at, degree_at = memoryview(alive), memoryview(degree)
@@ -299,8 +297,7 @@ def _peel(
         if alive_at[p]:
             link_at[p] -= v
             degree_at[p] -= 1
-            if record:
-                tail.append((v, p))
+            tail.append((v, p))
             if degree_at[p] == 1:
                 stack.append(p)
     return alive, bulk, tail
@@ -330,67 +327,47 @@ def peel(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     rounds, and the stack then finishes the narrow tail of hanging trees that
     are ~sqrt(n) deep, which would otherwise cost one NumPy round per level.
     """
-    return _peel(n, us, vs, record=False)[0][1:]
+    return _peel(n, us, vs)[0][1:]
 
 
-def _leaf_ordered_core(
-    n: int, v: int, core_size: int, us: np.ndarray, vs: np.ndarray
-) -> bool:
-    """True iff the edges after the first ``core_size`` come in leaf order
-    onto a core on [1, v] of minimum degree two.
+def _leaf_ordered(n: int, t: int, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """True iff the edges ``(lo, hi)`` come in leaf order onto the roots [1, t].
 
-    Then ``peel(n, us, vs)`` keeps exactly [1, v], and the edges with both
-    ends kept are exactly the first ``core_size``; this check costs O(n) in
-    NumPy, with no peel.  The other edges are the forest edges, indexed
-    0, 1, ...; L(x) is the index of the last forest edge at x, taken with
-    ``np.maximum.at`` because a fancy assignment that repeats an index does
-    not fix which value wins.  The check holds iff there are n - v forest
-    edges; every endpoint lies in [1, n]; no forest edge is a loop; the
-    core edges lie inside [1, v] and give each vertex of [1, v] degree at
-    least two; and the n - v vertices above v each have an L, with no two
-    the same, so that L is a bijection from (v, n] onto the forest edges.
+    Edges are indexed 0, 1, ...; L(x) is the index of the last edge at x,
+    taken with ``np.maximum.at`` (a fancy assignment that repeats an index
+    does not fix which value wins).  The check, O(n) in NumPy, holds iff
+    there are n - t edges, every endpoint lies in [1, n], no edge is a loop,
+    and L is a bijection from (t, n] onto the edges.  ``pruefer.decode_arrays``
+    joins entry i to the leaf removed at step i, which appears in no later
+    edge, so a decoded forest always passes.
 
-    Proof that the peel then gives the core (the leaf-deletion argument of
-    Batagelj & Zaveršnik, 2003): edge k has an end z with L(z) = k, and
-    deleting the vertices above v in order of L is a valid leaf peel that
-    deletes edge k at step k, with z.  At step j, x = L^-1(j) has no core
-    edge and no forest edge after j; each of its edges k < j has L^-1(k) at
-    its other end, already deleted with that edge; and edge j is still
-    there and is not a loop, so x has degree exactly one.  What remains is
-    [1, v] with the core edges, of minimum degree two, and the 2-core does
-    not depend on the deletion order.  The converse fails only by being
-    stricter: the same forest edges out of leaf order (say reversed) still
-    peel to the core, but fail here.  ``pruefer.decode_arrays`` joins entry
-    i to the leaf removed at step i, which appears in no later edge, so a
-    decoded forest grafted after its core edges always passes.
+    Grafted onto a core on [1, t] of minimum degree two (``validate_core``
+    checks that half), such a forest peels back to exactly the core (the
+    leaf-deletion argument of Batagelj & Zaveršnik, 2003).  Edge k has an
+    end z with L(z) = k; delete the vertices above t in order of L.  At step
+    j, x = L^-1(j) has no core edge and no edge after j, each of its edges
+    k < j went with L^-1(k) at its other end, and edge j is no loop, so x
+    is a leaf.  What remains is the core, and the 2-core does not depend on
+    the deletion order.  The converse fails only by being stricter: the
+    same edges out of leaf order (say reversed) still peel to the core.
     """
-    us, vs = np.asarray(us, dtype=np.intp), np.asarray(vs, dtype=np.intp)
-    m = us.size - core_size
-    if m != n - v:
+    lo, hi = np.asarray(lo, dtype=np.intp), np.asarray(hi, dtype=np.intp)
+    m = lo.size
+    if m != n - t:
         return False
-    if us.size and (min(us.min(), vs.min()) < 1 or max(us.max(), vs.max()) > n):
+    if m and (min(lo.min(), hi.min()) < 1 or max(lo.max(), hi.max()) > n):
         return False
-    core_us, core_vs = us[:core_size], vs[:core_size]
-    forest_us, forest_vs = us[core_size:], vs[core_size:]
-    if np.any(forest_us == forest_vs):
-        return False
-    if core_size and max(core_us.max(), core_vs.max()) > v:
-        return False
-    core_degree = np.bincount(core_us, minlength=v + 1) + np.bincount(
-        core_vs, minlength=v + 1
-    )
-    if np.any(core_degree[1:] < 2):
+    if np.any(lo == hi):
         return False
     last = np.full(n + 1, -1, dtype=np.intp)
     steps = np.arange(m, dtype=np.intp)
-    np.maximum.at(last, forest_us, steps)
-    np.maximum.at(last, forest_vs, steps)
-    last = last[v + 1:]
-    if np.any(last < 0):
-        return False
-    seen = np.zeros(m, dtype=bool)
-    seen[last] = True
-    return bool(seen.all())
+    np.maximum.at(last, lo, steps)
+    np.maximum.at(last, hi, steps)
+    # The n - t values of L form a bijection iff they hit every edge index;
+    # an L of -1 (a vertex with no edge) marks the spare slot m.
+    seen = np.zeros(m + 1, dtype=bool)
+    seen[last[t + 1:]] = True
+    return bool(seen[:m].all())
 
 
 def _decompose(
@@ -399,12 +376,13 @@ def _decompose(
     """The masks of ``decompose_masks`` on the labels, each with a False slot 0.
 
     Indexed by the 1-based labels directly, so statistics over the edges
-    need no ``us - 1`` temporaries.  ``degree`` is handed to ``_peel``.  The
-    decomposition trial of ``harness``, which has the degrees and reads the
-    masks at the endpoints, is the one caller of these padded masks; every
-    other caller goes through ``decompose_masks``.
+    need no ``us - 1`` temporaries.  ``degree`` is handed to ``_peel``, whose
+    deletions, replayed last first, hand each core component to its trees.
+    The decomposition trial of ``harness``, which has the degrees and reads
+    the masks at the endpoints, is the one caller of these padded masks;
+    every other caller goes through ``decompose_masks``.
     """
-    alive, bulk, tail = _peel(n, us, vs, record=True, degree=degree)
+    alive, bulk, tail = _peel(n, us, vs, degree)
     us, vs = np.asarray(us, dtype=np.intp), np.asarray(vs, dtype=np.intp)
     kept = alive[us] & alive[vs]
     # The 2-core relabelled 1, 2, ... in label order.  rank is read only at

@@ -46,14 +46,13 @@ from degreelab.graphs import (
     ENUMERATION_LIMIT,
     SimpleGraph,
     _decompose,
-    _leaf_ordered_core,
+    _leaf_ordered,
 )
-from degreelab.pruefer import sample_codeword, sample_forest_degrees
+from degreelab.pruefer import decode_arrays, sample_codeword, sample_forest_degrees
 from degreelab.rng import derive_rng
 from degreelab.samplers import (
     RejectionLimitError,
     complex_part_degrees,
-    graft_codeword,
     sample_gnm_arrays,
     validate_core,
 )
@@ -122,10 +121,11 @@ class ExperimentConfig:
     grid point).  ``m`` defaults to n // 2 where an edge count is needed,
     ``balls`` defaults to n, ``t`` defaults to 1 for forest_maxdegree and to
     ceil(n^0.7) for root_gap.  ``core`` is an edge list on [v] for
-    complexpart_maxdegree, which uses ``q`` instead of ``n``.  Of ``n``,
-    ``m``, ``balls``, ``t``, ``q`` and ``core``, a config sets only those its
-    kind reads; None counts as unset.  Building a config runs its kind's plan
-    at every grid point, which checks the bounds that depend on the kind.
+    complexpart_maxdegree, which uses ``q`` instead of ``n``.  Of
+    ``_KIND_FIELDS``, a config sets off its default (None for all but
+    ``max_attempts`` and ``planar_only``) only those its kind reads.  Building
+    a config runs its kind's plan at every grid point, which checks the
+    bounds that depend on the kind.
     """
 
     experiment: str
@@ -187,8 +187,9 @@ class ExperimentConfig:
                 self, "core", tuple((int(u), int(v)) for u, v in self.core)
             )
         kind = _KINDS[self.experiment]
-        for name in ("n", "m", "balls", "t", "q", "core"):
-            if getattr(self, name) is not None and name not in kind.reads:
+        for name in _KIND_FIELDS:
+            unset = self.__dataclass_fields__[name].default
+            if name not in kind.reads and getattr(self, name) != unset:
                 raise ValueError(
                     f"{name} must be left out for {self.experiment}, which reads "
                     f"{', '.join(kind.reads)}, got {self.to_dict()[name]}"
@@ -398,16 +399,14 @@ def _complexpart_trial(cfg, plan, rng, aux) -> int:
 
     The codeword drawn for the grafted forest fixes the degree sequence
     (occurrence counts, plus one per non-root, plus the core degrees), so
-    the degrees are read off it and the grafted arrays are not counted.
-    The forest is still decoded and grafted: its edges come in leaf order,
-    so ``_leaf_ordered_core`` checks without a peel that peeling recovers
-    the core.
+    the degrees are read off it.  The decoded forest comes in leaf order, so
+    ``_leaf_ordered`` checks without a graft or a peel that peeling recovers
+    the core; the plan's ``validate_core`` has checked the core's own half.
     """
     core: SimpleGraph = plan["core"]
     q, v = plan["q"], core.order
     codeword = sample_codeword(q, v, rng)
-    us, vs = graft_codeword(core, codeword)
-    core_recovered = _leaf_ordered_core(q, v, core.size, us, vs)
+    core_recovered = _leaf_ordered(q, v, *decode_arrays(codeword, q, v))
     # After the decode: held through it, the degrees raised the trial's
     # peak of traced memory at q = 1e5 from 6.9 to 7.7 MiB.
     degrees = complex_part_degrees(core, codeword)
@@ -493,11 +492,15 @@ def _decomposition_summary(records: Sequence[TrialRecord]) -> dict[str, Any]:
     return {"decomposition": stats}
 
 
+#: The config fields that only some kinds read (``_Kind.reads``).
+_KIND_FIELDS = ("n", "m", "balls", "t", "q", "core", "max_attempts", "planar_only")
+
+
 @dataclass(frozen=True)
 class _Kind:
     """How one experiment kind runs; exactly one of ``trial`` and ``sweep`` is set."""
 
-    reads: tuple[str, ...]  # the optional config fields it reads; others are refused
+    reads: tuple[str, ...]  # those of _KIND_FIELDS it reads; others are refused
     plan: Callable[[ExperimentConfig, int | None], dict[str, Any]]
     trial: Callable[..., int] | None = None
     sweep: Callable[[ExperimentConfig, dict[str, Any]], list[TrialRecord]] | None = None
@@ -506,9 +509,11 @@ class _Kind:
 
 _KINDS: dict[str, _Kind] = {
     "bins_concentration": _Kind(("n", "balls"), _plan_bins, _bins_trial),
-    "gnm_maxdegree": _Kind(("n", "m"), _plan_gnm, _gnm_trial),
+    "gnm_maxdegree": _Kind(("n", "m", "max_attempts"), _plan_gnm, _gnm_trial),
     "noncomplex_maxdegree": _Kind(
-        ("n", "m"), _plan_noncomplex, partial(_gnm_trial, require_noncomplex=True)
+        ("n", "m", "max_attempts"),
+        _plan_noncomplex,
+        partial(_gnm_trial, require_noncomplex=True),
     ),
     "forest_maxdegree": _Kind(("n", "t"), _plan_forest, _forest_trial),
     "complexpart_maxdegree": _Kind(
@@ -516,13 +521,13 @@ _KINDS: dict[str, _Kind] = {
     ),
     "root_gap": _Kind(("n", "t"), _plan_root_gap, _root_gap_trial),
     "decomposition_stats": _Kind(
-        ("n", "m"),
+        ("n", "m", "max_attempts"),
         _plan_decomposition,
         _decomposition_trial,
         summary=_decomposition_summary,
     ),
     "dense_ratio": _Kind(
-        ("n",),
+        ("n", "planar_only"),
         _plan_dense_ratio,
         sweep=_dense_ratio_sweep,
         summary=_dense_ratio_summary,

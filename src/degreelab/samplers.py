@@ -163,28 +163,13 @@ def _graft(
     return np.concatenate((core_us, forest_lo)), np.concatenate((core_vs, forest_hi))
 
 
-def graft_codeword(
-    core: SimpleGraph, codeword: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays of the forest a codeword for F(q, v(core)) encodes,
-    grafted onto ``core`` (one root per core vertex), the core's edges first.
-
-    The forest's edges follow in the order of ``decode_arrays``, where the
-    leaf of each edge appears in no later edge.  ``harness`` relies on that
-    order to check the core without peeling.
-    """
-    v = core.order
-    return _graft(core, *decode_arrays(codeword, len(codeword) + v, v))
-
-
 def complex_part_degrees(core: SimpleGraph, codeword: np.ndarray) -> np.ndarray:
-    """Degree sequence on [q] of ``graft_codeword(core, codeword)``, read off
-    the codeword without decoding it.
+    """Degree sequence on [q] of the complex part ``codeword`` encodes over
+    ``core``, read off the codeword without decoding it.
 
     The forest's degrees come from ``pruefer.codeword_degrees`` and
     grafting adds each core vertex's core degree.  That is one ``bincount``
-    of the q - v entries, where counting the grafted arrays takes
-    2(q + e(core)).
+    of the q - v entries, where counting the grafted arrays takes 2(q + e(core)).
     """
     v = core.order
     degrees = codeword_degrees(codeword[:-1], int(codeword[-1]), len(codeword) + v, v)
@@ -198,16 +183,16 @@ def complex_part_arrays(
     """Endpoint arrays of a uniform graph on [q] whose peeling recovers ``core``.
 
     Draws a uniform codeword for F(q, v(core)) and grafts the forest it
-    encodes onto the core with ``graft_codeword``: the first ``core.size``
-    edges are the core's, the forest's follow in leaf order.  When the core
-    has no bare-cycle component the result is a uniform complex graph with
-    that core.
+    encodes onto the core, one root per core vertex: the core's edges come
+    first, the forest's follow in the leaf order of ``decode_arrays``.  When
+    the core has no bare-cycle component the result is a uniform complex
+    graph with that core.
     """
     validate_core(core)
     v = core.order
     if q < v + 1:
         raise ValueError(f"q must be at least v(core) + 1 = {v + 1}, got {q}")
-    return graft_codeword(core, sample_codeword(q, v, rng))
+    return _graft(core, *decode_arrays(sample_codeword(q, v, rng), q, v))
 
 
 def complex_part_from_forest(core: SimpleGraph, forest: SimpleGraph) -> SimpleGraph:

@@ -435,6 +435,27 @@ class TestExperimentCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
         assert cfg_path.read_bytes() == cfg_bytes
 
+    def test_empty_out_is_a_usage_error_before_the_campaign(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # An empty path would otherwise pass as "no --out" and write nothing.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"experiment": "bins_concentration", "n": 10, "trials": 1}')
+        ran = []
+        monkeypatch.setattr(
+            "degreelab.harness.run_experiment", lambda *a, **k: ran.append(a)
+        )
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "run", "--config", str(cfg_path), "--out", ""])
+        assert exit_info.value.code == 2
+        assert not ran
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: degreelab experiment run ")
+        assert "error: argument --out: the path is empty" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_out_in_the_working_directory(self, capsys, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"experiment": "bins_concentration", "n": 10, "trials": 2}')

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from degreelab.graphs import (
     _edge_arrays,
     _kuratowski_masks,
     _decompose,
-    _leaf_ordered_core,
+    _leaf_ordered,
     _peel,
     complete_graph_edges,
     component_stats,
@@ -683,8 +683,8 @@ def assert_peel_same_with_degrees(n: int, us: np.ndarray, vs: np.ndarray):
     counts the endpoints itself, and leaves the given array as it was."""
     degree = degrees_of(n, us, vs)
     given = degree.copy()
-    alive, bulk, tail = _peel(n, us, vs, record=True)
-    given_alive, given_bulk, given_tail = _peel(n, us, vs, record=True, degree=given)
+    alive, bulk, tail = _peel(n, us, vs)
+    given_alive, given_bulk, given_tail = _peel(n, us, vs, degree=given)
     np.testing.assert_array_equal(given, degree)
     np.testing.assert_array_equal(given_alive, alive)
     assert given_tail == tail
@@ -723,14 +723,14 @@ class TestPeelGivenDegrees:
         us, vs = np.array([1, 2]), np.array([2, 3])
         for degree in (np.array([1, 2]), np.array([0, 1, 2, 1])):
             with pytest.raises(ValueError, match="shape"):
-                _peel(3, us, vs, record=False, degree=degree)
+                _peel(3, us, vs, degree=degree)
 
     def test_isolated_vertices_are_never_visited(self):
         # Three leaves and 200 isolated vertices: the first frontier is the
         # three leaves, under the bulk threshold, so the stack alone peels.
         n, us, vs = star_on_triangle(3)
         n += 200
-        alive, bulk, tail = _peel(n, us, vs, record=True)
+        alive, bulk, tail = _peel(n, us, vs)
         assert bulk == [] and len(tail) == 5
         assert np.flatnonzero(alive).tolist() == [1, 2, 3]
 
@@ -800,25 +800,28 @@ K4 = list(combinations(range(1, 5), 2))
 TWO_TRIANGLES = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]
 
 
-def peels_to_core(n: int, v: int, core_size: int, us, vs) -> bool:
-    """What the peel says: exactly [1, v] survives, with the first core_size edges."""
+def peels_to_core(n: int, core, lo, hi) -> bool:
+    """What the peel says of the forest (lo, hi) grafted after ``core``:
+    exactly [1, v(core)] survives, with the core's edges."""
+    core_us, core_vs = (np.array(side, dtype=np.int64) for side in zip(*core))
+    us, vs = np.concatenate((core_us, lo)), np.concatenate((core_vs, hi))
     alive = peel(n, us, vs)
     kept = np.flatnonzero(alive[us - 1] & alive[vs - 1])
+    v = max(map(max, core))
     return np.array_equal(np.flatnonzero(alive), np.arange(v)) and np.array_equal(
-        kept, np.arange(core_size)
+        kept, np.arange(len(core))
     )
 
 
-def leaf_order_case(forest, core=TRIANGLE):
-    """(n, v, core_size, us, vs) for hand-given forest edges grafted after ``core``."""
-    edges = list(core) + list(forest)
-    us, vs = (np.array(side, dtype=np.int64) for side in zip(*edges))
-    v = max(map(max, core))
-    return max(v, int(us.max()), int(vs.max())), v, len(core), us, vs
+def forest_case(forest) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, lo, hi) for hand-given forest edges onto the roots of ``TRIANGLE``."""
+    lo, hi = (np.array(side, dtype=np.int64) for side in zip(*forest))
+    return max(3, int(lo.max()), int(hi.max())), lo, hi
 
 
-class TestLeafOrderedCore:
-    """``_leaf_ordered_core`` against the peel it stands in for."""
+class TestLeafOrdered:
+    """``_leaf_ordered`` against the peel it stands in for.  A core that
+    is not on [1, v] with minimum degree two is ``validate_core``'s to refuse."""
 
     @pytest.mark.parametrize(
         "core",
@@ -826,71 +829,82 @@ class TestLeafOrderedCore:
         ids=["triangle", "bowtie", "k4", "two-triangles"],
     )
     def test_agrees_with_peel_on_complex_parts(self, core):
-        graph = SimpleGraph.from_edges(max(map(max, core)), core)
-        v = graph.order
+        v = max(map(max, core))
         # 999 decodes with the pointer scan, 1000 and up by release steps.
         sizes = [*range(v + 1, v + 41), 999, 1000, 1001, 5000, 10**5]
         for q in sizes:
             for seed in range(4):
                 rng = np.random.default_rng((q, seed))
-                us, vs = complex_part_arrays(graph, q, rng)
-                assert peels_to_core(q, v, graph.size, us, vs), (q, seed)
-                assert _leaf_ordered_core(q, v, graph.size, us, vs), (q, seed)
+                lo, hi = decode_arrays(sample_codeword(q, v, rng), q, v)
+                assert peels_to_core(q, core, lo, hi), (q, seed)
+                assert _leaf_ordered(q, v, lo, hi), (q, seed)
+
+    def test_every_decoded_forest_up_to_six_vertices(self):
+        for q in range(2, 7):
+            for t in range(1, min(3, q - 1) + 1):
+                for body in product(range(1, q + 1), repeat=q - t - 1):
+                    for last in range(1, t + 1):
+                        codeword = np.array([*body, last], dtype=np.int64)
+                        lo, hi = decode_arrays(codeword, q, t)
+                        assert _leaf_ordered(q, t, lo, hi), (q, t, codeword)
+                        if t == 3:
+                            assert peels_to_core(q, TRIANGLE, lo, hi), codeword
 
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
     def test_forest_out_of_leaf_order_is_refused(self, order):
         # The same graph still peels to the core: the check is stricter.
-        graph = SimpleGraph.from_edges(3, TRIANGLE)
-        us, vs = complex_part_arrays(graph, 200, np.random.default_rng(5))
-        forest = np.arange(3, us.size)
+        codeword = sample_codeword(200, 3, np.random.default_rng(5))
+        lo, hi = decode_arrays(codeword, 200, 3)
         if order == "reversed":
-            forest = forest[::-1]
+            index = np.arange(lo.size)[::-1]
         else:
-            forest = np.random.default_rng(6).permutation(forest)
-        index = np.concatenate((np.arange(3), forest))
-        us, vs = us[index], vs[index]
-        assert peels_to_core(200, 3, 3, us, vs)
-        assert not _leaf_ordered_core(200, 3, 3, us, vs)
+            index = np.random.default_rng(6).permutation(lo.size)
+        lo, hi = lo[index], hi[index]
+        assert peels_to_core(200, TRIANGLE, lo, hi)
+        assert not _leaf_ordered(200, 3, lo, hi)
 
     def test_hand_built_leaf_order_passes(self):
         # Path 1-4-5-6 hung on the triangle, deleted 6, 5, 4.
-        case = leaf_order_case([(5, 6), (4, 5), (1, 4)])
-        assert peels_to_core(*case)
-        assert _leaf_ordered_core(*case)
+        n, lo, hi = forest_case([(5, 6), (4, 5), (1, 4)])
+        assert peels_to_core(n, TRIANGLE, lo, hi)
+        assert _leaf_ordered(n, 3, lo, hi)
 
     @pytest.mark.parametrize(
-        "forest, core",
+        "forest",
         [
             # Edge 2 closes the cycle 4-5-6: L(4) = L(6) = 2.
-            ([(5, 6), (4, 5), (4, 6)], TRIANGLE),
+            [(5, 6), (4, 5), (4, 6)],
             # A loop at 4 as its last edge: every L is distinct.
-            ([(5, 6), (4, 5), (4, 4)], TRIANGLE),
-            # Core vertex 4 has core degree one.
-            ([(1, 5)], TRIANGLE + [(3, 4)]),
+            [(5, 6), (4, 5), (4, 4)],
         ],
-        ids=["cycle", "loop", "core-degree-one"],
+        ids=["cycle", "loop"],
     )
-    def test_refused_where_the_peel_misses_the_core(self, forest, core):
-        case = leaf_order_case(forest, core)
-        assert not peels_to_core(*case)
-        assert not _leaf_ordered_core(*case)
+    def test_refused_where_the_peel_misses_the_core(self, forest):
+        n, lo, hi = forest_case(forest)
+        assert not peels_to_core(n, TRIANGLE, lo, hi)
+        assert not _leaf_ordered(n, 3, lo, hi)
 
-    def test_core_edge_leaving_the_core_is_refused(self):
-        # Core edge 3-4 keeps vertex 4, whose last forest edge comes second.
-        _, _, _, us, vs = leaf_order_case([(4, 5), (1, 4)], TRIANGLE + [(3, 4)])
-        assert not peels_to_core(5, 3, 4, us, vs)
-        assert not _leaf_ordered_core(5, 3, 4, us, vs)
+    def test_vertex_without_an_edge_is_refused(self):
+        # n - t edges, but vertex 7 has none: L(6), L(5), L(4) = 0, 1, 2 are
+        # distinct, and edge 3 joins two roots, so no L reaches it.
+        _, lo, hi = forest_case([(5, 6), (4, 5), (1, 4), (1, 2)])
+        assert not peels_to_core(7, TRIANGLE, lo, hi)
+        assert not _leaf_ordered(7, 3, lo, hi)
+
+    def test_wrong_edge_count_is_refused(self):
+        # A valid leaf order on [6], read as a forest on [7] or on the roots [1, 4].
+        n, lo, hi = forest_case([(5, 6), (4, 5), (1, 4)])
+        assert not _leaf_ordered(n + 1, 3, lo, hi)
+        assert not _leaf_ordered(n, 4, lo, hi)
 
     @pytest.mark.parametrize("bad", [0, 7, -1])
     def test_endpoint_outside_the_labels_is_refused(self, bad):
         # Without the bad endpoint the forest is a valid leaf order on [6].
-        n, v, core_size, us, vs = leaf_order_case([(5, 6), (4, 5), (1, 4)])
-        forest_us = us.copy()
-        forest_us[-1] = bad
-        assert not _leaf_ordered_core(n, v, core_size, forest_us, vs)
-        core_vs = vs.copy()
-        core_vs[1] = bad
-        assert not _leaf_ordered_core(n, v, core_size, us, core_vs)
+        n, lo, hi = forest_case([(5, 6), (4, 5), (1, 4)])
+        bad_lo, bad_hi = lo.copy(), hi.copy()
+        bad_lo[-1], bad_hi[-1] = bad, bad
+        assert not _leaf_ordered(n, 3, bad_lo, hi)
+        assert not _leaf_ordered(n, 3, lo, bad_hi)
 
 
 def assert_matches_scipy(n: int, us: np.ndarray, vs: np.ndarray) -> None:

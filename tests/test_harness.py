@@ -74,14 +74,20 @@ def cores(draw):
     return draw(st.permutations(edges))
 
 
-def _common_fields(draw, max_attempts: int) -> dict:
-    return {
+def _common_fields(draw, experiment: str, max_attempts: int) -> dict:
+    """The fields every kind takes, plus ``max_attempts`` and ``planar_only``
+    where the kind reads them; elsewhere they are left at their defaults."""
+    fields = {
         "eps": draw(st.floats(1e-6, 10.0)),
         "seed": draw(st.integers(0, 2**63 - 1)),
-        "max_attempts": draw(st.integers(1, max_attempts)),
         "min_hit_rate": draw(st.none() | st.floats(0.0, 1.0)),
-        "planar_only": draw(st.booleans()),
     }
+    reads = harness._KINDS[experiment].reads
+    if "max_attempts" in reads:
+        fields["max_attempts"] = draw(st.integers(1, max_attempts))
+    if "planar_only" in reads:
+        fields["planar_only"] = draw(st.booleans())
+    return fields
 
 
 @st.composite
@@ -93,7 +99,7 @@ def valid_fields(draw, largest):
     """
     experiment = draw(st.sampled_from(EXPERIMENTS))
     fields = {"experiment": experiment, "trials": draw(st.integers(1, 10**6))}
-    fields.update(_common_fields(draw, 10**6))
+    fields.update(_common_fields(draw, experiment, 10**6))
     if experiment == "complexpart_maxdegree":
         core = draw(cores())
         fields.update(core=core, q=draw(st.integers(max(map(max, core)) + 1, largest)))
@@ -136,8 +142,9 @@ def small_fields(draw):
     }
     fields = {"experiment": experiment}
     for name in harness._KINDS[experiment].reads:
-        fields[name] = draw(values[name])
-    fields.update(_common_fields(draw, 20))
+        if name in values:
+            fields[name] = draw(values[name])
+    fields.update(_common_fields(draw, experiment, 20))
     return fields
 
 
@@ -329,13 +336,14 @@ class TestConfig:
                     "t": 3,
                     "balls": 7,
                 },
-                "balls must be left out for gnm_maxdegree, which reads n, m, got 7",
+                "balls must be left out for gnm_maxdegree, which reads n, m, "
+                "max_attempts, got 7",
             ),
             (
                 "t",
                 {"experiment": "noncomplex_maxdegree", "t": 2},
                 "t must be left out for noncomplex_maxdegree, which reads n, m, "
-                "got 2",
+                "max_attempts, got 2",
             ),
             (
                 "balls",
@@ -358,12 +366,32 @@ class TestConfig:
                 "core",
                 {"experiment": "decomposition_stats", "core": TRIANGLE},
                 "core must be left out for decomposition_stats, which reads n, m, "
-                "got \\[\\[1, 2\\], \\[1, 3\\], \\[2, 3\\]\\]",
+                "max_attempts, got \\[\\[1, 2\\], \\[1, 3\\], \\[2, 3\\]\\]",
             ),
             (
                 "q",
                 {"experiment": "dense_ratio", "n": 5, "q": 50},
-                "q must be left out for dense_ratio, which reads n, got 50",
+                "q must be left out for dense_ratio, which reads n, planar_only, "
+                "got 50",
+            ),
+            # A field with a default, set off it on a kind that never reads it.
+            (
+                "max_attempts",
+                {"experiment": "bins_concentration", "max_attempts": 5},
+                "max_attempts must be left out for bins_concentration, which "
+                "reads n, balls, got 5",
+            ),
+            (
+                "planar_only",
+                {"experiment": "gnm_maxdegree", "planar_only": False},
+                "planar_only must be left out for gnm_maxdegree, which reads n, "
+                "m, max_attempts, got False",
+            ),
+            (
+                "max_attempts",
+                {"experiment": "dense_ratio", "n": 5, "max_attempts": 1},
+                "max_attempts must be left out for dense_ratio, which reads n, "
+                "planar_only, got 1",
             ),
             ("n", [50, 50], "n must not repeat a grid size, got \\[50, 50\\]"),
             (
@@ -380,6 +408,48 @@ class TestConfig:
         data.update(value if isinstance(value, dict) else {field: value})
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "core, message",
+        [
+            # Core vertex 4 has core degree one.
+            ([[1, 2], [2, 3], [1, 3], [3, 4]], "degree at least two"),
+            # An edge leaves [1, v]: the triangle sits on 1, 2, 4.
+            ([[1, 2], [2, 4], [1, 4]], "must occupy the vertex set"),
+            ([[1, 2], [2, 0], [1, 0]], "labels must be positive"),
+            ([[1, 2], [2, -1], [1, -1]], "labels must be positive"),
+            ([[1, 2], [2, 7], [1, 7]], "must occupy the vertex set"),
+        ],
+        ids=[
+            "core-degree-one",
+            "core-edge-leaving-the-core",
+            "core-endpoint-0",
+            "core-endpoint--1",
+            "core-endpoint-7",
+        ],
+    )
+    def test_complexpart_plan_refuses_what_the_trial_no_longer_checks(
+        self, core, message
+    ):
+        # The complex-part trial checks only the decoded forest; the core's
+        # half is validate_core's, run by the plan before any trial.
+        fields = dict(experiment="complexpart_maxdegree", q=10, core=core, eps=0.25)
+        with pytest.raises(ValueError, match=message):
+            harness._plan_complexpart(SimpleNamespace(**fields), None)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(fields)
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_defaults_of_unread_fields_are_accepted(self, experiment):
+        # to_dict writes max_attempts and planar_only for every kind, so a
+        # config that spells out their defaults must load wherever it goes.
+        if experiment == "complexpart_maxdegree":
+            base = ExperimentConfig(experiment=experiment, q=10, core=TRIANGLE)
+        else:
+            base = ExperimentConfig(experiment=experiment, n=5)
+        data = base.to_dict()
+        assert (data["max_attempts"], data["planar_only"]) == (10_000, True)
+        assert ExperimentConfig.from_dict(data) == base
 
     @given(fields=valid_fields(largest=10**9))
     def test_valid_configs_round_trip_through_dict(self, fields):

@@ -21,6 +21,7 @@ from degreelab.graphs import (
 from degreelab.pruefer import (
     _VECTOR_DECODE,
     decode,
+    decode_arrays,
     sample_codeword,
     sample_uniform_forest,
     validate_forest,
@@ -28,11 +29,11 @@ from degreelab.pruefer import (
 from degreelab.rng import derive_rng
 from degreelab.samplers import (
     RejectionLimitError,
+    _graft,
     build_complex_part,
     complex_part_arrays,
     complex_part_degrees,
     complex_part_from_forest,
-    graft_codeword,
     sample_gnm,
     sample_gnm_arrays,
     sample_noncomplex,
@@ -401,7 +402,7 @@ class TestComplexPartDegrees:
             for body in product(range(1, q + 1), repeat=q - v - 1):
                 for last in range(1, v + 1):
                     codeword = np.array([*body, last], dtype=np.int64)
-                    us, vs = graft_codeword(core, codeword)
+                    us, vs = _graft(core, *decode_arrays(codeword, q, v))
                     assert complex_part_degrees(core, codeword).tolist() == (
                         endpoint_degrees(q, us, vs)
                     )
