@@ -123,9 +123,9 @@ class ExperimentConfig:
     ceil(n^0.7) for root_gap.  ``core`` is an edge list on [v] for
     complexpart_maxdegree, which uses ``q`` instead of ``n``.  Of
     ``_KIND_FIELDS``, a config sets off its default (None for all but
-    ``max_attempts`` and ``planar_only``) only those its kind reads.  Building
-    a config runs its kind's plan at every grid point, which checks the
-    bounds that depend on the kind.
+    ``eps``, ``max_attempts`` and ``planar_only``) only those its kind reads.
+    Building a config runs its kind's plan at every grid point, which checks
+    the bounds that depend on the kind (and a ``core``, once).
     """
 
     experiment: str
@@ -181,12 +181,11 @@ class ExperimentConfig:
             or not 0 <= rate <= 1
         ):
             raise ValueError(f"min_hit_rate must lie in [0, 1], got {rate!r}")
-        if self.core is not None:
-            _core_graph(self.core)
-            object.__setattr__(
-                self, "core", tuple((int(u), int(v)) for u, v in self.core)
-            )
         kind = _KINDS[self.experiment]
+        if self.core is not None and "core" not in kind.reads:
+            # Refused below; checked first so that a malformed core is named
+            # as such.  A kind that reads the core checks it in its plan.
+            _core_graph(self.core)
         for name in _KIND_FIELDS:
             unset = self.__dataclass_fields__[name].default
             if name not in kind.reads and getattr(self, name) != unset:
@@ -196,6 +195,10 @@ class ExperimentConfig:
                 )
         for n in self.n_grid:
             kind.plan(self, n)
+        if self.core is not None:
+            object.__setattr__(
+                self, "core", tuple((int(u), int(v)) for u, v in self.core)
+            )
 
     @property
     def n_grid(self) -> tuple[int | None, ...]:
@@ -493,7 +496,9 @@ def _decomposition_summary(records: Sequence[TrialRecord]) -> dict[str, Any]:
 
 
 #: The config fields that only some kinds read (``_Kind.reads``).
-_KIND_FIELDS = ("n", "m", "balls", "t", "q", "core", "max_attempts", "planar_only")
+_KIND_FIELDS = (
+    "n", "m", "balls", "t", "q", "core", "eps", "max_attempts", "planar_only"
+)
 
 
 @dataclass(frozen=True)
@@ -508,16 +513,18 @@ class _Kind:
 
 
 _KINDS: dict[str, _Kind] = {
-    "bins_concentration": _Kind(("n", "balls"), _plan_bins, _bins_trial),
-    "gnm_maxdegree": _Kind(("n", "m", "max_attempts"), _plan_gnm, _gnm_trial),
+    "bins_concentration": _Kind(("n", "balls", "eps"), _plan_bins, _bins_trial),
+    "gnm_maxdegree": _Kind(
+        ("n", "m", "eps", "max_attempts"), _plan_gnm, _gnm_trial
+    ),
     "noncomplex_maxdegree": _Kind(
         ("n", "m", "max_attempts"),
         _plan_noncomplex,
         partial(_gnm_trial, require_noncomplex=True),
     ),
-    "forest_maxdegree": _Kind(("n", "t"), _plan_forest, _forest_trial),
+    "forest_maxdegree": _Kind(("n", "t", "eps"), _plan_forest, _forest_trial),
     "complexpart_maxdegree": _Kind(
-        ("q", "core"), _plan_complexpart, _complexpart_trial
+        ("q", "core", "eps"), _plan_complexpart, _complexpart_trial
     ),
     "root_gap": _Kind(("n", "t"), _plan_root_gap, _root_gap_trial),
     "decomposition_stats": _Kind(

@@ -452,11 +452,8 @@ def superset_planarity_table(masks, n_edges: int, codes=None) -> np.ndarray:
     return ~nonplanar
 
 
-def bitwise_class_tally(n: int, planar: np.ndarray) -> dict:
-    """(m, k, l, d) -> (all, planar) counts by popcounts over every code.
-
-    ``planar`` is the planarity table indexed by code.
-    """
+def bitwise_signatures(n: int) -> np.ndarray:
+    """Packed signature m + 32(k + 8(l + 8d)) of every code, by popcounts."""
     edges = list(combinations(range(1, n + 1), 2))
     codes = np.arange(1 << len(edges), dtype=np.uint32)
     incidence = [np.uint32(0)] * (n + 1)
@@ -473,8 +470,15 @@ def bitwise_class_tally(n: int, planar: np.ndarray) -> dict:
     for idx, (u, v) in enumerate(edges):
         present = ((codes >> np.uint32(idx)) & np.uint32(1)).astype(bool)
         l_arr += present & (deg[u - 1] == 1) & (deg[v - 1] == 1)
+    return m_arr + 32 * (k_arr + 8 * (l_arr + 8 * d_arr))
 
-    sig = m_arr + 32 * (k_arr + 8 * (l_arr + 8 * d_arr))
+
+def bitwise_class_tally(n: int, planar: np.ndarray) -> dict:
+    """(m, k, l, d) -> (all, planar) counts by popcounts over every code.
+
+    ``planar`` is the planarity table indexed by code.
+    """
+    sig = bitwise_signatures(n)
     counts_all = np.bincount(sig)
     counts_planar = np.bincount(sig[planar], minlength=counts_all.size)
     table: dict[tuple[int, int, int, int], tuple[int, int]] = {}

@@ -270,7 +270,6 @@ def noncomplex_campaign():
         n=10**5,
         m=5 * 10**4,
         trials=200,
-        eps=1.0 / 3.0,
         seed=20260811,
     )
     start = time.perf_counter()

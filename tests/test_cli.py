@@ -585,7 +585,7 @@ class TestExperimentCommand:
                 '{"experiment": "complexpart_maxdegree", "n": 10, "q": 50,'
                 ' "core": [[1, 2], [2, 3], [1, 3]]}',
                 "n must be left out for complexpart_maxdegree, which reads q, core, "
-                "got 10",
+                "eps, got 10",
             ),
             (
                 '{"experiment": "root_gap", "n": 50, "m": 10, "balls": null}',

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import astuple
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
@@ -26,6 +27,7 @@ from degreelab.dense_ops import (
 )
 from degreelab.graphs import (
     SimpleGraph,
+    complete_graph_edges,
     isolated_counts,
     max_degree,
     planarity_table,
@@ -35,6 +37,7 @@ from degreelab.harness import ExperimentConfig, run_experiment
 from oracles import (
     PLANAR_GRAPH_COUNTS,
     bitwise_class_tally,
+    bitwise_signatures,
     graph_class_count_by_assembly,
     networkx_planar,
 )
@@ -187,12 +190,14 @@ class TestEnumerateClass:
 
 
 class TestClassifyAllGraphs:
-    """The tally of doubled vertex and edge sets against per-code popcounts."""
+    """The tally of the vertex split against per-code popcounts."""
 
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_set_doubling_tally_matches_per_code_popcount_tally(self, n):
+    def test_vertex_split_tally_matches_per_code_popcount_tally(self, n):
         expected = bitwise_class_tally(n, planarity_table(n))
-        assert dict(classify_all_graphs(n)) == expected
+        table = classify_all_graphs(n)
+        assert dict(table) == expected
+        assert all(type(c) is int for counts in table.values() for c in counts)
 
     def test_refuses_out_of_range(self):
         for n in (0, 8):
@@ -208,6 +213,76 @@ class TestClassifyAllGraphs:
         assert classify_all_graphs(4) is table
         assert table[(1, 2, 1, 1)] == (6, 6)
         assert enumerate_class(4, 1, 2, 1, 1) == 6
+
+
+@cache
+def _split(n):
+    return dense_ops._vertex_split(n)
+
+
+def _split_signature(n, code):
+    """The grid entry the tally reads for ``code``: (group of its base, S)."""
+    grid, group, _ = _split(n)
+    return int(grid[group[code >> (n - 1)], code & ((1 << (n - 1)) - 1)])
+
+
+def _graph_signature(n, code):
+    """m + 32(k + 8(l + 8d)) of the SimpleGraph with edge bitmask ``code``."""
+    edges = [e for i, e in enumerate(complete_graph_edges(n)) if code >> i & 1]
+    graph = SimpleGraph(vertices=tuple(range(1, n + 1)), edges=edges)
+    k, l = isolated_counts(graph)
+    return graph.size + 32 * (k + 8 * (l + 8 * max_degree(graph)))
+
+
+def _base_fields(r):
+    """(m, degree-0 set, isolated-edge set, top degree, top-degree set) of
+    every code of K_r, one row per code, by popcounts."""
+    edges = list(combinations(range(r), 2))
+    codes = np.arange(1 << len(edges))
+    deg = np.zeros((r, codes.size), dtype=np.int64)
+    for i, (u, v) in enumerate(edges):
+        deg[u] += codes >> i & 1
+        deg[v] += codes >> i & 1
+    top = deg.max(axis=0, initial=0)
+    zero = np.zeros(codes.size, dtype=np.int64)
+    at_top = np.zeros(codes.size, dtype=np.int64)
+    for v in range(r):
+        zero |= (deg[v] == 0).astype(np.int64) << v
+        at_top |= (deg[v] == top).astype(np.int64) << v
+    iso = np.zeros(codes.size, dtype=np.int64)
+    for i, (u, v) in enumerate(edges):
+        iso |= ((codes >> i & 1) & (deg[u] == 1) & (deg[v] == 1)) << i
+    return np.stack([np.bitwise_count(codes), zero, iso, top, at_top], axis=1)
+
+
+class TestVertexSplit:
+    """The grid of ``_vertex_split`` code by code, against each code's graph."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_every_code_reads_its_graphs_signature(self, n):
+        for code in range(1 << (n * (n - 1) // 2)):
+            assert _split_signature(n, code) == _graph_signature(n, code), code
+
+    @given(code=st.integers(0, (1 << 21) - 1))
+    def test_drawn_codes_on_seven_vertices(self, code):
+        assert _split_signature(7, code) == _graph_signature(7, code)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_grid_rows_list_every_code_in_order(self, n):
+        # The non-planar gather reads grid[group] in code order.
+        grid, group, count = _split(n)
+        assert np.array_equal(grid[group].ravel(), bitwise_signatures(n))
+        assert count.sum() == group.size == 1 << ((n - 1) * (n - 2) // 2)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_groups_are_the_classes_of_the_five_fields(self, n):
+        # A packed key whose fields overlapped would merge two classes.
+        _, group, count = _split(n)
+        _, fields = np.unique(_base_fields(n - 1), axis=0, return_inverse=True)
+        pairs = set(zip(fields.ravel().tolist(), group.tolist()))
+        assert len(pairs) == len(set(fields.ravel().tolist())) == count.size
+        if n == 7:
+            assert count.size == 2239
 
 
 class TestRatioBound:

@@ -75,14 +75,16 @@ def cores(draw):
 
 
 def _common_fields(draw, experiment: str, max_attempts: int) -> dict:
-    """The fields every kind takes, plus ``max_attempts`` and ``planar_only``
-    where the kind reads them; elsewhere they are left at their defaults."""
+    """The fields every kind takes, plus ``eps``, ``max_attempts`` and
+    ``planar_only`` where the kind reads them; elsewhere they are left at
+    their defaults."""
     fields = {
-        "eps": draw(st.floats(1e-6, 10.0)),
         "seed": draw(st.integers(0, 2**63 - 1)),
         "min_hit_rate": draw(st.none() | st.floats(0.0, 1.0)),
     }
     reads = harness._KINDS[experiment].reads
+    if "eps" in reads:
+        fields["eps"] = draw(st.floats(1e-6, 10.0))
     if "max_attempts" in reads:
         fields["max_attempts"] = draw(st.integers(1, max_attempts))
     if "planar_only" in reads:
@@ -325,7 +327,7 @@ class TestConfig:
                 "m",
                 {"experiment": "bins_concentration", "m": 10},
                 "m must be left out for bins_concentration, which reads n, balls, "
-                "got 10",
+                "eps, got 10",
             ),
             (
                 "balls",
@@ -337,7 +339,7 @@ class TestConfig:
                     "balls": 7,
                 },
                 "balls must be left out for gnm_maxdegree, which reads n, m, "
-                "max_attempts, got 7",
+                "eps, max_attempts, got 7",
             ),
             (
                 "t",
@@ -349,13 +351,13 @@ class TestConfig:
                 "balls",
                 {"experiment": "forest_maxdegree", "balls": 5},
                 "balls must be left out for forest_maxdegree, which reads n, t, "
-                "got 5",
+                "eps, got 5",
             ),
             (
                 "n",
                 {"experiment": "complexpart_maxdegree", "n": [10, 20], "q": 50},
                 "n must be left out for complexpart_maxdegree, which reads q, core, "
-                "got \\[10, 20\\]",
+                "eps, got \\[10, 20\\]",
             ),
             (
                 "m",
@@ -379,13 +381,37 @@ class TestConfig:
                 "max_attempts",
                 {"experiment": "bins_concentration", "max_attempts": 5},
                 "max_attempts must be left out for bins_concentration, which "
-                "reads n, balls, got 5",
+                "reads n, balls, eps, got 5",
             ),
             (
                 "planar_only",
                 {"experiment": "gnm_maxdegree", "planar_only": False},
                 "planar_only must be left out for gnm_maxdegree, which reads n, "
-                "m, max_attempts, got False",
+                "m, eps, max_attempts, got False",
+            ),
+            (
+                "eps",
+                {"experiment": "root_gap", "eps": 5.0},
+                "eps must be left out for root_gap, which reads n, t, got 5.0",
+            ),
+            (
+                "eps",
+                {"experiment": "decomposition_stats", "eps": 5.0},
+                "eps must be left out for decomposition_stats, which reads n, m, "
+                "max_attempts, got 5.0",
+            ),
+            (
+                "eps",
+                {"experiment": "dense_ratio", "n": 5, "eps": 5.0},
+                "eps must be left out for dense_ratio, which reads n, "
+                "planar_only, got 5.0",
+            ),
+            (
+                # Its window is {delta*, delta* + 1}, whatever eps.
+                "eps",
+                {"experiment": "noncomplex_maxdegree", "m": 50, "eps": 5.0},
+                "eps must be left out for noncomplex_maxdegree, which reads n, m, "
+                "max_attempts, got 5.0",
             ),
             (
                 "max_attempts",
@@ -441,15 +467,49 @@ class TestConfig:
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_defaults_of_unread_fields_are_accepted(self, experiment):
-        # to_dict writes max_attempts and planar_only for every kind, so a
-        # config that spells out their defaults must load wherever it goes.
+        # to_dict writes eps, max_attempts and planar_only for every kind, so
+        # a config that spells out their defaults must load wherever it goes.
         if experiment == "complexpart_maxdegree":
             base = ExperimentConfig(experiment=experiment, q=10, core=TRIANGLE)
         else:
             base = ExperimentConfig(experiment=experiment, n=5)
         data = base.to_dict()
-        assert (data["max_attempts"], data["planar_only"]) == (10_000, True)
+        assert (data["eps"], data["max_attempts"], data["planar_only"]) == (
+            0.25,
+            10_000,
+            True,
+        )
         assert ExperimentConfig.from_dict(data) == base
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(experiment="bins_concentration", n=50),
+            dict(experiment="gnm_maxdegree", n=50),
+            dict(experiment="forest_maxdegree", n=50),
+            dict(experiment="complexpart_maxdegree", q=50, core=TRIANGLE),
+        ],
+    )
+    def test_kinds_with_a_window_take_eps(self, fields):
+        cfg = ExperimentConfig(eps=5.0, **fields)
+        assert cfg.to_dict()["eps"] == 5.0
+        plan = harness._KINDS[cfg.experiment].plan(cfg, cfg.n)
+        assert plan["hi"] - plan["lo"] == 10
+
+    def test_core_is_validated_once_per_config(self, monkeypatch):
+        calls = []
+        validate_core = harness.validate_core
+
+        def counted(core):
+            calls.append(core)
+            return validate_core(core)
+
+        monkeypatch.setattr(harness, "validate_core", counted)
+        ExperimentConfig(experiment="complexpart_maxdegree", q=10, core=TRIANGLE)
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="core must be left out"):
+            ExperimentConfig(experiment="root_gap", n=10, core=TRIANGLE)
+        assert len(calls) == 2
 
     @given(fields=valid_fields(largest=10**9))
     def test_valid_configs_round_trip_through_dict(self, fields):
@@ -544,10 +604,10 @@ class TestRunExperiment:
             # c(1000, 600) = 5.224 and c(100, 100) = 5.431.
             (dict(experiment="bins_concentration", n=1000, balls=600, eps=0.5), (4, 5)),
             (dict(experiment="bins_concentration", n=100, eps=0.6), (4, 6)),
-            # {delta*, delta* + 1} with delta* = floor(c(n, 2m) - 1/3),
-            # whatever eps: c(1000, 1000) = 6.656 and c(100, 100) = 5.431.
-            (dict(experiment="noncomplex_maxdegree", n=1000, m=500, eps=0.25), (6, 7)),
-            (dict(experiment="noncomplex_maxdegree", n=100, m=50, eps=0.6), (5, 6)),
+            # {delta*, delta* + 1} with delta* = floor(c(n, 2m) - 1/3), and
+            # no eps: c(1000, 1000) = 6.656 and c(100, 100) = 5.431.
+            (dict(experiment="noncomplex_maxdegree", n=1000, m=500), (6, 7)),
+            (dict(experiment="noncomplex_maxdegree", n=100, m=50), (5, 6)),
             # [floor(c - eps) + 1, floor(c + eps) + 1] with c = c(q, q).
             (dict(experiment="complexpart_maxdegree", q=100, eps=0.6), (5, 7)),
             (dict(experiment="complexpart_maxdegree", q=1000, eps=0.25), (7, 7)),
