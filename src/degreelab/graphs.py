@@ -44,12 +44,6 @@ class EnumerationLimitError(ValueError):
     """Raised when an exhaustive sweep exceeds ENUMERATION_LIMIT vertices."""
 
 
-def canonical_edge(u: int, v: int) -> Edge:
-    if u == v:
-        raise ValueError(f"loop at vertex {u} is not a simple-graph edge")
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True)
 class SimpleGraph:
     """Immutable labelled simple graph on an explicit vertex set.
@@ -58,22 +52,25 @@ class SimpleGraph:
     vertices, stored with the smaller endpoint first.  ``edges`` may be given
     as any iterable of pairs; an edge given twice, in either orientation, is
     an error.  An empty vertex set is allowed so that subgraphs (cores,
-    decomposition parts) can be empty.
+    decomposition parts) can be empty.  Every constructor, ``from_arrays``
+    included, goes through ``__post_init__``, the one check of these rules.
     """
 
     vertices: tuple[int, ...]
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        vs = tuple(sorted(set(self.vertices)))
+        vset = set(self.vertices)
+        vs = tuple(sorted(vset))
         if vs and vs[0] < 1:
             raise ValueError("vertex labels must be positive integers")
         object.__setattr__(self, "vertices", vs)
-        vset = set(vs)
         canonical = set()
         for u, v in self.edges:
-            e = canonical_edge(u, v)
-            if e[0] not in vset or e[1] not in vset:
+            if u == v:
+                raise ValueError(f"loop at vertex {u} is not a simple-graph edge")
+            e = (u, v) if u < v else (v, u)
+            if u not in vset or v not in vset:
                 raise ValueError(f"edge {e} has an endpoint outside the vertex set")
             if e in canonical:
                 raise ValueError(f"edge {e} appears more than once")
@@ -91,11 +88,9 @@ class SimpleGraph:
     def from_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray) -> SimpleGraph:
         """Graph on vertex set 1..n with edges (us[i], vs[i]).
 
-        The arrays are checked with numpy rather than edge by edge: labels in
-        [1, n], no loops and no repeated edge, in either orientation.
+        The arrays must be one-dimensional integer arrays of equal length;
+        the edges are then checked as ``from_edges`` checks them.
         """
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
         us, vs = np.asarray(us), np.asarray(vs)
         if us.ndim != 1 or us.shape != vs.shape:
             raise ValueError(
@@ -106,23 +101,7 @@ class SimpleGraph:
             raise ValueError(
                 f"endpoint labels must be integers, got {us.dtype} and {vs.dtype}"
             )
-        lo = np.minimum(us, vs).astype(np.int64)
-        hi = np.maximum(us, vs).astype(np.int64)
-        if lo.size:
-            if lo.min() < 1 or hi.max() > n:
-                raise ValueError(f"edge endpoints must lie in [1, {n}]")
-            if np.any(lo == hi):
-                loop = lo[lo == hi][0]
-                raise ValueError(f"loop at vertex {loop} is not a simple-graph edge")
-            codes = np.sort(lo * np.int64(n + 1) + hi)
-            repeated = codes[1:][codes[1:] == codes[:-1]]
-            if repeated.size:
-                u, v = divmod(int(repeated[0]), n + 1)
-                raise ValueError(f"edge ({u}, {v}) appears more than once")
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "vertices", tuple(range(1, n + 1)))
-        object.__setattr__(graph, "edges", frozenset(zip(lo.tolist(), hi.tolist())))
-        return graph
+        return cls.from_edges(n, zip(us.tolist(), vs.tolist()))
 
     @property
     def order(self) -> int:

@@ -125,7 +125,8 @@ class ExperimentConfig:
     ``_KIND_FIELDS``, a config sets off its default (None for all but
     ``eps``, ``max_attempts`` and ``planar_only``) only those its kind reads.
     Building a config runs its kind's plan at every grid point, which checks
-    the bounds that depend on the kind (and a ``core``, once).
+    the bounds that depend on the kind (and a ``core``, once), and keeps the
+    plans in ``plans`` for ``run_experiment``.
     """
 
     experiment: str
@@ -193,8 +194,10 @@ class ExperimentConfig:
                     f"{name} must be left out for {self.experiment}, which reads "
                     f"{', '.join(kind.reads)}, got {self.to_dict()[name]}"
                 )
-        for n in self.n_grid:
-            kind.plan(self, n)
+        # A plain attribute, not a field, so to_dict, ==, hash and repr
+        # ignore it.
+        plans = tuple(kind.plan(self, n) for n in self.n_grid)
+        object.__setattr__(self, "plans", plans)
         if self.core is not None:
             object.__setattr__(
                 self, "core", tuple((int(u), int(v)) for u, v in self.core)
@@ -670,13 +673,12 @@ def run_experiment(
     _check_count("jobs", jobs, minimum=1)
 
     kind = _KINDS[cfg.experiment]
-    plans = [kind.plan(cfg, n) for n in cfg.n_grid]
     if kind.sweep is not None:
-        records = kind.sweep(cfg, *plans)
+        records = kind.sweep(cfg, *cfg.plans)
     else:
         tasks = [
             (cfg, plan, g * cfg.trials + i)
-            for g, plan in enumerate(plans)
+            for g, plan in enumerate(cfg.plans)
             for i in range(cfg.trials)
         ]
         records = _run_trials(tasks, jobs)

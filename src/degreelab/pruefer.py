@@ -174,9 +174,7 @@ def _pointer_leaves(entries: np.ndarray, n: int, t: int) -> np.ndarray:
     return np.array(leaves, dtype=np.int64)
 
 
-def _release_leaves(
-    entries: np.ndarray, n: int, t: int, budget: float = _EXACT_BUDGET
-) -> np.ndarray | None:
+def _release_leaves(entries: np.ndarray, n: int, t: int) -> np.ndarray | None:
     """Leaf removed at each step, from release-step counts in NumPy.
 
     Steps are numbered from 0, and step i pairs its leaf with entry i.  The
@@ -202,8 +200,8 @@ def _release_leaves(
     the vertices whose bounds straddle rel(v) (about 270 of 1e5 at B = 256
     on a uniform codeword) are counted exactly, against their own label
     block and their own step block.  Returns None, and leaves the decode to
-    the pointer loop, when more than ``budget`` vertices per block of B
-    entries need that count.
+    the pointer loop, when more than ``_EXACT_BUDGET`` vertices per block of
+    B entries need that count.
     """
     size = n - t
     shift = size.bit_length() // 2
@@ -228,7 +226,7 @@ def _release_leaves(
     released = rel > 0
     on_time = released & (upper <= rel)
     open_ = np.flatnonzero(released & (lower <= rel) & (rel < upper))
-    if open_.size * block > budget * size:
+    if open_.size * block > _EXACT_BUDGET * size:
         return None
     if open_.size:
         cols = np.arange(block)

@@ -127,21 +127,57 @@ class TestSimpleGraphBasics:
             5, [(1, 3), (2, 4), (4, 5)]
         )
 
+    def test_from_arrays_runs_the_one_check_once(self, monkeypatch):
+        calls = []
+        post_init = SimpleGraph.__post_init__
+
+        def counted(graph):
+            calls.append(graph)
+            post_init(graph)
+
+        monkeypatch.setattr(SimpleGraph, "__post_init__", counted)
+        for n, us, vs in [(0, [], []), (5, [3, 2, 4], [1, 4, 5])]:
+            graph = SimpleGraph.from_arrays(n, np.array(us, int), np.array(vs, int))
+            assert calls == [graph]
+            calls.clear()
+
     @pytest.mark.parametrize(
-        "us, vs",
+        "us, vs, edge_error",
         [
-            pytest.param([0, 1], [2, 3], id="label-below-one"),
-            pytest.param([1, 2], [2, 6], id="label-above-n"),
-            pytest.param([1, 3], [2, 3], id="loop"),
-            pytest.param([1, 1], [2, 2], id="repeated-edge"),
-            pytest.param([1, 2], [2, 1], id="repeated-edge-reversed"),
-            pytest.param([1, 2], [2], id="unequal-lengths"),
-            pytest.param([1.0, 2.0], [2.0, 3.0], id="non-integer-labels"),
+            pytest.param([0, 1], [2, 3], True, id="label-below-one"),
+            pytest.param([1, 2], [2, 6], True, id="label-above-n"),
+            pytest.param([1, 3], [2, 3], True, id="loop"),
+            pytest.param([1, 1], [2, 2], True, id="repeated-edge"),
+            pytest.param([1, 2], [2, 1], True, id="repeated-edge-reversed"),
+            pytest.param([1, 2], [2], False, id="unequal-lengths"),
+            pytest.param([1.0, 2.0], [2.0, 3.0], False, id="non-integer-labels"),
         ],
     )
-    def test_from_arrays_rejects_bad_input(self, us, vs):
-        with pytest.raises(ValueError):
+    def test_from_arrays_rejects_bad_input(self, us, vs, edge_error):
+        with pytest.raises(ValueError) as by_arrays:
             SimpleGraph.from_arrays(5, np.array(us), np.array(vs))
+        if edge_error:
+            with pytest.raises(ValueError) as by_edges:
+                SimpleGraph.from_edges(5, zip(us, vs))
+            assert str(by_arrays.value) == str(by_edges.value)
+
+    @given(
+        data=st.data(),
+        n=st.integers(2, 12),
+        dtype=st.sampled_from([np.int32, np.int64, np.uint16]),
+    )
+    def test_from_arrays_equals_from_edges(self, data, n, dtype):
+        pairs = list(combinations(range(1, n + 1), 2))
+        picks = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(pairs), st.booleans()),
+                unique_by=lambda pick: pick[0],
+            )
+        )
+        edges = [(v, u) if flip else (u, v) for (u, v), flip in picks]
+        us = np.array([u for u, _ in edges], dtype=dtype)
+        vs = np.array([v for _, v in edges], dtype=dtype)
+        assert SimpleGraph.from_arrays(n, us, vs) == SimpleGraph.from_edges(n, edges)
 
     def test_degree_and_adjacency(self):
         graph = SimpleGraph.from_edges(4, [(1, 2), (1, 3)])

@@ -493,7 +493,7 @@ class TestConfig:
     def test_kinds_with_a_window_take_eps(self, fields):
         cfg = ExperimentConfig(eps=5.0, **fields)
         assert cfg.to_dict()["eps"] == 5.0
-        plan = harness._KINDS[cfg.experiment].plan(cfg, cfg.n)
+        (plan,) = cfg.plans
         assert plan["hi"] - plan["lo"] == 10
 
     def test_core_is_validated_once_per_config(self, monkeypatch):
@@ -505,11 +505,18 @@ class TestConfig:
             return validate_core(core)
 
         monkeypatch.setattr(harness, "validate_core", counted)
-        ExperimentConfig(experiment="complexpart_maxdegree", q=10, core=TRIANGLE)
+        cfg = ExperimentConfig(experiment="complexpart_maxdegree", q=10, core=TRIANGLE)
         assert len(calls) == 1
+        run_experiment(cfg, jobs=1)
+        assert len(calls) == 1
+        # The plans are kept outside the fields: dict, repr and hash ignore them.
+        again = ExperimentConfig.from_dict(cfg.to_dict())
+        assert "plans" not in cfg.to_dict() and "plans" not in repr(cfg)
+        assert again == cfg and hash(again) == hash(cfg)
+        assert len(calls) == 2
         with pytest.raises(ValueError, match="core must be left out"):
             ExperimentConfig(experiment="root_gap", n=10, core=TRIANGLE)
-        assert len(calls) == 2
+        assert len(calls) == 3
 
     @given(fields=valid_fields(largest=10**9))
     def test_valid_configs_round_trip_through_dict(self, fields):

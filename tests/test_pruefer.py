@@ -11,6 +11,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from degreelab import pruefer
 from degreelab.concentration import balanced_concentration
 from degreelab.graphs import SimpleGraph, degree_sequence
 from degreelab.pruefer import (
@@ -184,14 +185,15 @@ def _codeword(body: np.ndarray, t: int, rng: np.random.Generator) -> np.ndarray:
 class TestReleaseStepDecode:
     """The NumPy release-step decode against the heap oracle and the loop."""
 
-    def test_matches_heap_decode_exhaustively(self):
+    def test_matches_heap_decode_exhaustively(self, monkeypatch):
         # Below the cut-off too, where decode_arrays itself never takes it.
+        monkeypatch.setattr(pruefer, "_EXACT_BUDGET", math.inf)
         for n in range(2, 8):
             for t in range(1, n):
                 for body in product(range(1, n + 1), repeat=n - t - 1):
                     for last in range(1, t + 1):
                         entries = np.array((*body, last), dtype=np.int64)
-                        leaves = _release_leaves(entries, n, t, budget=math.inf)
+                        leaves = _release_leaves(entries, n, t)
                         edges = frozenset(
                             zip(
                                 np.minimum(entries, leaves).tolist(),
@@ -201,7 +203,8 @@ class TestReleaseStepDecode:
                         assert edges == heap_decode(entries.tolist(), n, t)
 
     @pytest.mark.parametrize("n", [_VECTOR_DECODE + 1, 4_099, 20_000, 70_000])
-    def test_matches_pointer_loop_on_adversarial_bodies(self, n):
+    def test_matches_pointer_loop_on_adversarial_bodies(self, monkeypatch, n):
+        monkeypatch.setattr(pruefer, "_EXACT_BUDGET", math.inf)
         rng = derive_rng(17, n)
         for t in (1, n // 3, n - 1):
             for name, body in _bodies(n, t, rng).items():
@@ -211,7 +214,7 @@ class TestReleaseStepDecode:
                 # (below), and its exact counts would take hundreds of MB here.
                 if name == "reverse_sorted" and t == 1 and n == 70_000:
                     continue
-                leaves = _release_leaves(entries, n, t, budget=math.inf)
+                leaves = _release_leaves(entries, n, t)
                 expected = _pointer_leaves(entries, n, t)
                 assert np.array_equal(leaves, expected), (name, t)
 
@@ -226,14 +229,18 @@ class TestReleaseStepDecode:
         assert np.array_equal(hi, np.maximum(entries, leaves))
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_both_paths_agree_at_the_cut_off(self, offset):
+    def test_both_paths_agree_at_the_cut_off(self, monkeypatch, offset):
         n = _VECTOR_DECODE + offset
         rng = derive_rng(19, n)
         for t in (1, 3, n // 3, n - 2):
             for body in _bodies(n, t, rng).values():
                 entries = _codeword(body, t, rng)
                 expected = _pointer_leaves(entries, n, t)
-                released = _release_leaves(entries, n, t, budget=math.inf)
+                # Exact counts for every body, while decode_arrays below keeps
+                # its budget and so still falls back where it would.
+                with monkeypatch.context() as patch:
+                    patch.setattr(pruefer, "_EXACT_BUDGET", math.inf)
+                    released = _release_leaves(entries, n, t)
                 assert np.array_equal(released, expected)
                 lo, hi = decode_arrays(entries, n, t)
                 assert np.array_equal(lo, np.minimum(entries, expected))
