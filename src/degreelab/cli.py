@@ -33,9 +33,9 @@ from degreelab.graphs import (
     max_degree,
     read_edge_list,
 )
-from degreelab.pruefer import decode, sample_codeword, sample_forest_degrees
+from degreelab.pruefer import decode_arrays, sample_codeword, sample_forest_degrees
 from degreelab.rng import derive_rng
-from degreelab.samplers import build_complex_part, sample_gnm, sample_noncomplex
+from degreelab.samplers import complex_part_arrays, sample_gnm_arrays
 
 
 def _edge_list(path: str) -> SimpleGraph:
@@ -230,15 +230,17 @@ def _cmd_forest(args: argparse.Namespace) -> int:
     if args.emit == "pruefer":
         print(json.dumps({"n": args.n, "t": args.t, "sequence": codeword.tolist()}))
     else:
-        sys.stdout.write(format_edge_list(decode(codeword, args.n, args.t)))
+        lo, hi = decode_arrays(codeword, args.n, args.t)
+        sys.stdout.write(format_edge_list(args.n, lo, hi))
     return 0
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    sampler = sample_gnm if args.structure == "gnm" else sample_noncomplex
-    rng = derive_rng(args.seed, 0)
-    graph, report = sampler(args.n, args.m, rng, args.max_attempts)
-    sys.stdout.write(format_edge_list(graph))
+    noncomplex = args.structure == "noncomplex"
+    us, vs, _, report = sample_gnm_arrays(
+        args.n, args.m, derive_rng(args.seed, 0), args.max_attempts, noncomplex
+    )
+    sys.stdout.write(format_edge_list(args.n, us, vs))
     if args.report:
         print(
             json.dumps(
@@ -254,8 +256,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_complex_part(args: argparse.Namespace) -> int:
-    graph = build_complex_part(args.core, args.q, derive_rng(args.seed, 0))
-    sys.stdout.write(format_edge_list(graph))
+    us, vs = complex_part_arrays(args.core, args.q, derive_rng(args.seed, 0))
+    sys.stdout.write(format_edge_list(args.q, us, vs))
     return 0
 
 

@@ -102,13 +102,15 @@ class PredictedInterval:
 def predicted_interval_sparse(n: int, m: int, eps: float) -> PredictedInterval:
     """Predicted max-degree window for a uniform planar graph below n/2 edges.
 
-    Valid when m <= n/2 + O(n^{2/3}); only m >= 1 and a finite eps >= 0
-    are checked here.  The window is [floor(c - eps), floor(c + eps)] with c
-    the concentration point for 2m balls in n bins, and
+    Valid when m <= n/2 + O(n^{2/3}); only 1 <= m <= n(n-1)/2 and a finite
+    eps >= 0 are checked here.  The window is [floor(c - eps), floor(c + eps)]
+    with c the concentration point for 2m balls in n bins, and
     delta_star = floor(c - 1/3).
     """
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
+    if m > n * (n - 1) // 2:
+        raise ValueError(f"m must be at most n(n-1)/2 = {n * (n - 1) // 2}, got {m}")
     if not math.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
     if eps < 0:

@@ -627,11 +627,15 @@ def planarity_table(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def format_edge_list(graph: SimpleGraph) -> str:
-    """Text form: first line "N M", then one "u v" line per edge, 1-indexed."""
-    n = graph.vertices[-1] if graph.vertices else 0
-    lines = [f"{n} {graph.size}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(graph.edges))
+def format_edge_list(n: int, us: np.ndarray, vs: np.ndarray) -> str:
+    """Text form of the simple graph on [n] with edges (us[i], vs[i]), which
+    are not checked: first line "N M", then one "u v" line per edge, smaller
+    endpoint first, in lexicographic order.
+    """
+    lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+    order = np.lexsort((hi, lo))
+    lines = [f"{n} {lo.size}"]
+    lines.extend(map("{} {}".format, lo[order].tolist(), hi[order].tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -4,9 +4,9 @@ A random multigraph on [n] with m edges is built by throwing 2m balls into n
 bins and pairing consecutive locations; its degree sequence equals the bin
 loads.  Conditioned on being simple it is a uniform simple graph, and
 conditioned further on having no complex component it is uniform over graphs
-without complex components (hence planar).  Both conditionings are realised
-by rejection, which stays feasible because the acceptance probability is
-bounded away from zero for m = O(n).
+without complex components (hence planar).  ``sample_gnm_arrays`` realises
+both conditionings by rejection, which stays feasible because the acceptance
+probability is bounded away from zero for m = O(n).
 
 A uniform complex part with a prescribed core is built directly, without
 rejection, by attaching a uniform rooted forest to the core's vertices:
@@ -115,34 +115,6 @@ def sample_gnm_arrays(
         f"(n={n}, m={m}, noncomplex={require_noncomplex})",
         report,
     )
-
-
-def sample_gnm(
-    n: int,
-    m: int,
-    rng: np.random.Generator,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> tuple[SimpleGraph, RejectionReport]:
-    """Uniform simple graph on [n] with m edges, by rejection to simplicity."""
-    us, vs, _, report = sample_gnm_arrays(n, m, rng, max_attempts)
-    return SimpleGraph.from_arrays(n, us, vs), report
-
-
-def sample_noncomplex(
-    n: int,
-    m: int,
-    rng: np.random.Generator,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> tuple[SimpleGraph, RejectionReport]:
-    """Uniform graph on [n] with m edges and no complex component.
-
-    Every component of the result has at most one cycle, so the graph is
-    planar by construction.
-    """
-    us, vs, _, report = sample_gnm_arrays(
-        n, m, rng, max_attempts, require_noncomplex=True
-    )
-    return SimpleGraph.from_arrays(n, us, vs), report
 
 
 def validate_core(core: SimpleGraph) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -16,7 +17,10 @@ from degreelab.concentration import (
 )
 from degreelab.graphs import parse_edge_list
 from degreelab.harness import ExperimentConfig, emit, run_experiment
+from degreelab.pruefer import validate_forest
 from degreelab.samplers import RejectionLimitError
+
+TRIANGLE_CORE = "3 3\n1 2\n1 3\n2 3\n"
 
 
 def run_cli(capsys, *argv):
@@ -124,7 +128,7 @@ class TestSampleCommands:
 
     def test_complex_part(self, capsys, tmp_path):
         core_path = tmp_path / "core.txt"
-        core_path.write_text("3 3\n1 2\n1 3\n2 3\n")
+        core_path.write_text(TRIANGLE_CORE)
         code, out, _ = run_cli(
             capsys,
             "sample", "complex-part", "--core", str(core_path),
@@ -134,6 +138,56 @@ class TestSampleCommands:
         graph = parse_edge_list(out)
         assert graph.size == 12  # 3 core edges + 9 forest edges
         assert {(1, 2), (1, 3), (2, 3)} <= set(graph.edges)
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            pytest.param(
+                ["gnm", "--n", "2000", "--m", "1000", "--seed", "1"],
+                "6b22f2fc300ca668581e0443528c9b98d66858e2f66ad9eab75919cdd70847b2",
+                id="gnm",
+            ),
+            pytest.param(
+                ["noncomplex", "--n", "2000", "--m", "1000", "--seed", "2"],
+                "6d534ab9bb0d700f57c1adadc7b2e45f8a4bf65b635fe8239b3a68b0a6f339e0",
+                id="noncomplex",
+            ),
+            pytest.param(
+                ["forest", "--n", "2000", "--t", "3", "--seed", "1"],
+                "e88e5ed1077647bdad000252eca105575c760ac76bc50538517f75247d611f84",
+                id="forest-vector-decoder",
+            ),
+            pytest.param(
+                ["forest", "--n", "12", "--t", "2", "--seed", "5"],
+                "4c88e926b29b945a6903a2f4cb5617cfec85011e98405f5721fe268a15409f57",
+                id="forest-pointer-decoder",
+            ),
+            pytest.param(
+                ["complex-part", "--q", "2000", "--seed", "1"],
+                "b33ae7eece08e689553d99eaa09b1a85698edba8dac27dad2ab5266afeb0fabb",
+                id="complex-part",
+            ),
+            pytest.param(
+                ["gnm", "--n", "7", "--m", "0", "--seed", "3"],
+                "13316410c3243a6b30a5a799aabf36a1e1a8f2aec49fd3af6869c33441dabea7",
+                id="gnm-empty",
+            ),
+        ],
+    )
+    def test_graph_output_is_pinned(self, capsys, tmp_path, argv, digest):
+        # The commands write the sampled endpoint arrays without building a
+        # SimpleGraph, so the simple-graph and forest checks run here, on
+        # the parsed output.
+        if argv[0] == "complex-part":
+            core_path = tmp_path / "core.txt"
+            core_path.write_text(TRIANGLE_CORE)
+            argv = [*argv, "--core", str(core_path)]
+        code, out, _ = run_cli(capsys, "sample", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        graph = parse_edge_list(out)
+        if argv[0] == "forest":
+            validate_forest(graph, int(argv[argv.index("--t") + 1]))
 
 
 class TestDecomposeCommand:
@@ -249,6 +303,11 @@ class TestRefusedValues:
                 ["nu", "--n", "10", "--interval", "--m", "0", "--eps", "0.3"],
                 None,
                 "m must be a positive integer, got 0",
+            ),
+            (
+                ["nu", "--n", "10", "--interval", "--m", "100", "--eps", "0.25"],
+                None,
+                "m must be at most n(n-1)/2 = 45, got 100",
             ),
             (
                 ["nu", "--n", "10", "--interval", "--m", "5", "--eps", "inf"],
@@ -658,14 +717,14 @@ class TestParserReuse:
     def test_sampler_is_looked_up_when_the_command_runs(self, capsys, monkeypatch):
         argv = ["--n", "40", "--m", "20", "--seed", "8"]
         _, before, _ = run_cli(capsys, "sample", "noncomplex", *argv)
-        calls, sampler = [], cli.sample_noncomplex
+        calls, sampler = [], cli.sample_gnm_arrays
 
-        def spy(*args):
-            calls.append(args[:2])
-            return sampler(*args)
+        def spy(n, m, rng, max_attempts, require_noncomplex=False):
+            calls.append((n, m, require_noncomplex))
+            return sampler(n, m, rng, max_attempts, require_noncomplex)
 
-        monkeypatch.setattr(cli, "sample_noncomplex", spy)
+        monkeypatch.setattr(cli, "sample_gnm_arrays", spy)
         _, after, _ = run_cli(capsys, "sample", "noncomplex", *argv)
         run_cli(capsys, "sample", "gnm", *argv)
-        assert calls == [(40, 20)]
+        assert calls == [(40, 20, True), (40, 20, False)]
         assert after == before

@@ -147,11 +147,16 @@ class TestPredictedIntervals:
         [
             (0, 0.3, "m must be a positive integer, got 0"),
             (5, -0.1, "eps must be non-negative, got -0.1"),
+            (4951, 0.3, "m must be at most n\\(n-1\\)/2 = 4950, got 4951"),
         ],
     )
     def test_sparse_rejects_bad_arguments(self, m, eps, message):
         with pytest.raises(ValueError, match=message):
             predicted_interval_sparse(100, m, eps)
+
+    def test_sparse_accepts_the_complete_graph_edge_count(self):
+        interval = predicted_interval_sparse(100, 4950, 0.3)
+        assert interval.lo <= interval.hi
 
     @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan])
     def test_sparse_rejects_non_finite_eps(self, eps):

@@ -360,10 +360,10 @@ class TestDecompose:
         # The exhaustive checks stop at six vertices; repeat the structural
         # invariants on uniform samples near half density at n = 1000.
         from degreelab.rng import derive_rng
-        from degreelab.samplers import sample_gnm
 
         for i in range(10):
-            graph, _ = sample_gnm(1000, 520, derive_rng(4848, i))
+            us, vs, _, _ = sample_gnm_arrays(1000, 520, derive_rng(4848, i))
+            graph = SimpleGraph.from_arrays(1000, us, vs)
             parts = decompose(graph)
             combined = sorted(
                 list(parts.big_complex.vertices)
@@ -1122,9 +1122,32 @@ class TestKuratowskiMasks:
 class TestEdgeListFormat:
     def test_round_trip(self):
         graph = SimpleGraph.from_edges(5, [(1, 2), (3, 5)])
-        text = format_edge_list(graph)
-        assert text.splitlines()[0] == "5 2"
+        text = format_edge_list(5, np.array([5, 1]), np.array([3, 2]))
+        assert text == "5 2\n1 2\n3 5\n"
         assert parse_edge_list(text) == graph
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_matches_the_sorted_edges_of_the_checked_graph(self, data):
+        # Reference: the text built from the sorted edge set of the graph
+        # that SimpleGraph.from_arrays checks, for edges in any order and
+        # either orientation, on [n] with n = 0 and no edges included.
+        n = data.draw(st.integers(0, 30), label="n")
+        pairs = complete_graph_edges(n)
+        chosen = data.draw(
+            st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]),
+            label="edges",
+        )
+        flips = data.draw(
+            st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)),
+            label="flips",
+        )
+        oriented = [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)]
+        us = np.array([u for u, _ in oriented], dtype=np.int64)
+        vs = np.array([v for _, v in oriented], dtype=np.int64)
+        edges = sorted(SimpleGraph.from_arrays(n, us, vs).edges)
+        expected = "".join(f"{u} {v}\n" for u, v in [(n, len(edges)), *edges])
+        assert format_edge_list(n, us, vs) == expected
 
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):

@@ -34,9 +34,7 @@ from degreelab.samplers import (
     complex_part_arrays,
     complex_part_degrees,
     complex_part_from_forest,
-    sample_gnm,
     sample_gnm_arrays,
-    sample_noncomplex,
 )
 
 from oracles import (
@@ -86,8 +84,8 @@ class TestMultigraphFromLocations:
 
 class TestSampleGnm:
     def test_zero_edges_first_attempt(self):
-        graph, report = sample_gnm(4, 0, derive_rng(1, 0))
-        assert graph == SimpleGraph.from_edges(4)
+        us, vs, _, report = sample_gnm_arrays(4, 0, derive_rng(1, 0))
+        assert SimpleGraph.from_arrays(4, us, vs) == SimpleGraph.from_edges(4)
         assert report.attempts == 1
         assert report.accepted
 
@@ -122,23 +120,27 @@ class TestSampleGnm:
 
     def test_budget_exhaustion_raises_with_report(self):
         with pytest.raises(RejectionLimitError) as info:
-            sample_gnm(2, 1, _ConstantRng(), max_attempts=3)
+            sample_gnm_arrays(2, 1, _ConstantRng(), max_attempts=3)
         assert info.value.report.attempts == 3
         assert info.value.report.reject_reasons["loop"] == 3
         assert not info.value.report.accepted
 
     def test_validates_edge_range(self):
         with pytest.raises(ValueError):
-            sample_gnm(3, 4, derive_rng(1, 0))
+            sample_gnm_arrays(3, 4, derive_rng(1, 0))
 
     def test_report_accounting_is_consistent(self):
         for i in range(30):
-            _, report = sample_gnm(25, 20, derive_rng(44, i))
+            us, vs, _, report = sample_gnm_arrays(25, 20, derive_rng(44, i))
+            assert SimpleGraph.from_arrays(25, us, vs).size == 20
             assert report.accepted
             assert report.attempts == 1 + sum(report.reject_reasons.values())
             assert report.reject_reasons["complex_component"] == 0
         for i in range(15):
-            _, report = sample_noncomplex(25, 20, derive_rng(45, i))
+            us, vs, _, report = sample_gnm_arrays(
+                25, 20, derive_rng(45, i), require_noncomplex=True
+            )
+            assert SimpleGraph.from_arrays(25, us, vs).size == 20
             assert report.attempts == 1 + sum(report.reject_reasons.values())
 
     def test_desk_scale_max_degree_window(self):
@@ -162,13 +164,15 @@ class TestSampleGnm:
 
 class TestSampleNoncomplex:
     def test_zero_edges(self):
-        graph, report = sample_noncomplex(5, 0, derive_rng(2, 0))
-        assert graph == SimpleGraph.from_edges(5)
+        us, vs, _, report = sample_gnm_arrays(
+            5, 0, derive_rng(2, 0), require_noncomplex=True
+        )
+        assert SimpleGraph.from_arrays(5, us, vs) == SimpleGraph.from_edges(5)
         assert report.attempts == 1
 
     def test_edge_budget_validated(self):
         with pytest.raises(ValueError):
-            sample_noncomplex(4, 4, derive_rng(3, 0))
+            sample_gnm_arrays(4, 4, derive_rng(3, 0), require_noncomplex=True)
 
     def test_filter_matches_rank_oracle_exhaustively(self):
         # The acceptance predicate keeps exactly the graphs whose components
@@ -195,13 +199,14 @@ class TestSampleNoncomplex:
         assert accepted / attempts >= 0.01
 
     def test_samples_have_no_complex_component_and_are_planar(self):
-        for i in range(10):
-            graph, _ = sample_noncomplex(12, 11, derive_rng(35, i))
-            assert not has_complex_component(12, graph.edges)
-            assert networkx_planar(12, graph.edges)
-        for i in range(5):
-            graph, _ = sample_noncomplex(300, 150, derive_rng(36, i))
-            assert not has_complex_component(300, graph.edges)
+        for n, m, seed, draws in ((12, 11, 35, 10), (300, 150, 36, 5)):
+            for i in range(draws):
+                us, vs, _, _ = sample_gnm_arrays(
+                    n, m, derive_rng(seed, i), require_noncomplex=True
+                )
+                graph = SimpleGraph.from_arrays(n, us, vs)
+                assert not has_complex_component(n, graph.edges)
+                assert networkx_planar(n, graph.edges)
 
     def test_desk_scale_max_degree_window(self):
         n = 10**5
