@@ -35,6 +35,7 @@ from degreelab.graphs import (
 )
 from degreelab.pruefer import decode_arrays, sample_codeword, sample_forest_degrees
 from degreelab.rng import derive_rng
+from degreelab.samplers import DEFAULT_MAX_ATTEMPTS
 from degreelab.samplers import complex_part_arrays, sample_gnm_arrays
 
 
@@ -126,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p_g.add_argument("--n", type=int, required=True)
         p_g.add_argument("--m", type=int, required=True)
         p_g.add_argument("--seed", type=int, required=True)
-        p_g.add_argument("--max-attempts", type=int, default=10_000)
+        p_g.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
         p_g.add_argument(
             "--report", action="store_true", help="append the rejection report as JSON"
         )

@@ -16,6 +16,7 @@ complex components; peeling degree-one vertices from it yields the core, a
 graph of minimum degree two with no bare-cycle components.  The decomposition
 splits a graph into the complex component containing the largest core
 component, the remaining complex components, and the non-complex rest.
+``_decompose`` alone applies the excess rule; the non-complex sampler asks it.
 
 Planarity is decided for every graph on n <= 7 vertices at once:
 ``_kuratowski_masks`` grows the Kuratowski-subdivision edge masks from every
@@ -210,12 +211,6 @@ def component_stats(
     return labels, vertex_counts, edge_counts
 
 
-def has_complex_component(n: int, us: np.ndarray, vs: np.ndarray) -> bool:
-    """True iff some component has edge count >= vertex count + 1."""
-    _, vertex_counts, edge_counts = component_stats(n, us, vs)
-    return bool(np.any(edge_counts >= vertex_counts + 1))
-
-
 #: Frontier width above which ``peel`` deletes a whole frontier in one NumPy
 #: round; below it, one leaf at a time in Python costs less than a round's
 #: fixed NumPy overhead.
@@ -231,8 +226,8 @@ def _peel(
     """The peel of ``peel``, on the labels with slot 0 a dead sentinel.
 
     ``degree`` is the degree sequence on [n] (degree[v - 1] of vertex v)
-    when the caller already has it, as ``_decompose`` gets it from the
-    decomposition trial (the bin loads of ``samplers.sample_gnm_arrays``);
+    when the caller already has it, as ``_decompose`` gets the bin loads of
+    a draw in the decomposition trial and the non-complex sampler's check;
     it is copied, not modified.  Without it the peel counts the endpoints
     itself.  Vertices of degree 0 start dead and never enter a frontier, so
     the first frontier is the vertices of degree exactly 1.
@@ -357,9 +352,10 @@ def _decompose(
     Indexed by the 1-based labels directly, so statistics over the edges
     need no ``us - 1`` temporaries.  ``degree`` is handed to ``_peel``, whose
     deletions, replayed last first, hand each core component to its trees.
-    The decomposition trial of ``harness``, which has the degrees and reads
-    the masks at the endpoints, is the one caller of these padded masks;
-    every other caller goes through ``decompose_masks``.
+    Callers that have the degrees use these padded masks: the decomposition
+    trial of ``harness`` reads them at the endpoints, and the non-complex
+    check of ``samplers.sample_gnm_arrays`` rejects iff the core is
+    non-empty.  Every other caller goes through ``decompose_masks``.
     """
     alive, bulk, tail = _peel(n, us, vs, degree)
     us, vs = np.asarray(us, dtype=np.intp), np.asarray(vs, dtype=np.intp)

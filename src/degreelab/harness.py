@@ -51,6 +51,7 @@ from degreelab.graphs import (
 from degreelab.pruefer import decode_arrays, sample_codeword, sample_forest_degrees
 from degreelab.rng import derive_rng
 from degreelab.samplers import (
+    DEFAULT_MAX_ATTEMPTS,
     RejectionLimitError,
     complex_part_degrees,
     sample_gnm_arrays,
@@ -139,7 +140,7 @@ class ExperimentConfig:
     t: int | None = None
     q: int | None = None
     core: tuple[tuple[int, int], ...] | None = None
-    max_attempts: int = 10_000
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS
     min_hit_rate: float | None = None
     planar_only: bool = True
 

@@ -9,6 +9,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from degreelab.balls_bins import loads as bin_loads
 from degreelab.concentration import balanced_concentration, concentration_point
 from degreelab import graphs
 from degreelab.graphs import (
@@ -73,13 +74,18 @@ class TestMultigraphFromLocations:
         assert info.value.report.reject_reasons["loop"] == 1
 
     def test_degrees_equal_loads(self):
-        rng = derive_rng(31, 0)
-        for _ in range(20):
-            n = int(rng.integers(2, 30))
-            m = int(rng.integers(0, min(20, n)))
-            us, vs, loads, _ = sample_gnm_arrays(n, m, rng)
-            degrees = np.bincount(np.concatenate((us, vs)), minlength=n + 1)[1:]
-            assert loads.tolist() == degrees.tolist()
+        # With require_noncomplex the returned loads are the degrees the
+        # complex-component check handed to the peel, which must not change them.
+        for noncomplex in (False, True):
+            rng = derive_rng(31, 0)
+            for _ in range(20):
+                n = int(rng.integers(2, 30))
+                m = int(rng.integers(0, min(20, n)))
+                us, vs, loads, _ = sample_gnm_arrays(
+                    n, m, rng, require_noncomplex=noncomplex
+                )
+                degrees = np.bincount(np.concatenate((us, vs)), minlength=n + 1)[1:]
+                assert loads.tolist() == degrees.tolist()
 
 
 class TestSampleGnm:
@@ -175,15 +181,17 @@ class TestSampleNoncomplex:
             sample_gnm_arrays(4, 4, derive_rng(3, 0), require_noncomplex=True)
 
     def test_filter_matches_rank_oracle_exhaustively(self):
-        # The acceptance predicate keeps exactly the graphs whose components
-        # all have cycle rank <= 1, over every 3- and 7-edge graph on [6].
+        # The acceptance predicate, an empty decomposition core peeled from
+        # the bin loads, keeps exactly the graphs whose components all have
+        # cycle rank <= 1, over every 3- and 7-edge graph on [6].
         all_edges = complete_graph_edges(6)
         for m in (3, 7):
             for chosen in combinations(all_edges, m):
-                us = np.array([e[0] for e in chosen])
-                vs = np.array([e[1] for e in chosen])
-                assert graphs.has_complex_component(6, us, vs) == has_complex_component(
-                    6, set(chosen)
+                entries = np.array(chosen).ravel()
+                us, vs = entries[0::2], entries[1::2]
+                degrees = bin_loads(entries, 6)
+                assert graphs._decompose(6, us, vs, degrees)[0].any() == (
+                    has_complex_component(6, set(chosen))
                 )
 
     def test_acceptance_rate_bounded_away_from_zero(self):
@@ -227,7 +235,9 @@ class TestSampleNoncomplex:
 
 class TestRejectionLoopReference:
     # (n, m, require_noncomplex): dense cases where loops, parallel edges and
-    # complex components are all common, sparse ones, and m = 0 and m = 1.
+    # complex components are all common, sparse ones, m = 0 and m = 1, and
+    # n = 2000, wide enough that the complex check's peel runs bulk rounds:
+    # at m = n/2 and above the critical window, where it also rejects.
     CASES = (
         (30, 40, False),
         (8, 20, False),
@@ -239,6 +249,8 @@ class TestRejectionLoopReference:
         (5, 0, True),
         (5, 1, False),
         (5, 1, True),
+        (2000, 1000, True),
+        (2000, 1100, True),
     )
 
     def test_matches_hash_unique_loop(self):
@@ -266,7 +278,7 @@ class TestRejectionLoopReference:
                 assert report.reject_reasons == expected[5]
                 seen["accepted" if report.accepted else "exhausted"] += 1
                 seen.update(k for k, v in report.reject_reasons.items() if v)
-        assert seen["accepted"] + seen["exhausted"] == 250
+        assert seen["accepted"] + seen["exhausted"] == 300
         outcomes = ("accepted", "exhausted", *report.reject_reasons)
         assert all(seen[k] >= 5 for k in outcomes), seen
 
