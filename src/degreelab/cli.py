@@ -20,6 +20,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from degreelab import concentration as conc
 from degreelab import harness
 from degreelab.balls_bins import loads as bin_loads
@@ -27,10 +29,9 @@ from degreelab.balls_bins import max_load, sample_locations
 from degreelab.dense_ops import sweep_ratio_bounds
 from degreelab.graphs import (
     SimpleGraph,
-    decompose,
+    _decompose,
+    _edge_arrays,
     format_edge_list,
-    isolated_counts,
-    max_degree,
     read_edge_list,
 )
 from degreelab.pruefer import decode_arrays, sample_codeword, sample_forest_degrees
@@ -263,17 +264,22 @@ def _cmd_complex_part(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    graph = args.graph
-    parts = decompose(graph)
-    k, l = isolated_counts(graph)
+    # One degree count on the labels gives Δ, k, l and the peel's degrees.
+    # The masks carry a False slot 0, so their nonzero positions are labels;
+    # the rest mask is True there and drops its first position.
+    n = args.graph.order
+    us, vs = _edge_arrays(args.graph)
+    degree = np.bincount(np.concatenate((us, vs)), minlength=n + 1)
+    core, big, small = _decompose(n, us, vs, degree[1:])
+    leaf = degree == 1
     payload = {
-        "core_vertices": list(parts.core.vertices),
-        "qL_vertices": list(parts.big_complex.vertices),
-        "qS_vertices": list(parts.small_complex.vertices),
-        "u_vertices": list(parts.non_complex.vertices),
-        "max_degree": max_degree(graph),
-        "isolated_vertices": k,
-        "isolated_edges": l,
+        "core_vertices": np.flatnonzero(core).tolist(),
+        "qL_vertices": np.flatnonzero(big).tolist(),
+        "qS_vertices": np.flatnonzero(small).tolist(),
+        "u_vertices": np.flatnonzero(~(big | small))[1:].tolist(),
+        "max_degree": int(degree.max()),
+        "isolated_vertices": int(np.count_nonzero(degree[1:] == 0)),
+        "isolated_edges": int(np.count_nonzero(leaf[us] & leaf[vs])),
     }
     print(json.dumps(payload))
     return 0

@@ -102,11 +102,13 @@ class PredictedInterval:
 def predicted_interval_sparse(n: int, m: int, eps: float) -> PredictedInterval:
     """Predicted max-degree window for a uniform planar graph below n/2 edges.
 
-    Valid when m <= n/2 + O(n^{2/3}); only 1 <= m <= n(n-1)/2 and a finite
-    eps >= 0 are checked here.  The window is [floor(c - eps), floor(c + eps)]
-    with c the concentration point for 2m balls in n bins, and
-    delta_star = floor(c - 1/3).
+    Valid when m <= n/2 + O(n^{2/3}); only n >= 1, 1 <= m <= n(n-1)/2 and a
+    finite eps >= 0 are checked here, in that order.  The window is
+    [floor(c - eps), floor(c + eps)] with c the concentration point for 2m
+    balls in n bins, and delta_star = floor(c - 1/3).
     """
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     if m > n * (n - 1) // 2:

@@ -482,8 +482,10 @@ class Decomposition:
     """Split of a graph into core, large/small complex parts, and the rest.
 
     ``big_complex`` is the complex component containing the largest core
-    component (ties among core components broken by most vertices, then
-    smallest minimum label); ``small_complex`` is the union of the remaining
+    component.  As in ``decompose_masks``, a tie in core size goes to the
+    core component with the smallest vertex, whatever the sizes of the
+    complex components around them: with K4s on 1..4 and 5..8 and a path
+    8-9-10, ``big_complex`` is 1..4.  ``small_complex`` is the union of the remaining
     complex components; ``non_complex`` is everything else.  The three parts
     partition the vertex set, and the core is contained in the complex part.
     """
@@ -502,22 +504,6 @@ def decompose(graph: SimpleGraph) -> Decomposition:
         small_complex=induced_subgraph(graph, _select(graph, small)),
         non_complex=induced_subgraph(graph, _select(graph, ~(big | small))),
     )
-
-
-def isolated_counts(graph: SimpleGraph) -> tuple[int, int]:
-    """(isolated vertices, isolated edges).
-
-    A vertex is isolated if it has degree zero; an edge is isolated if both
-    endpoints have degree one.
-    """
-    adjacency = graph.adjacency
-    k = sum(1 for v in graph.vertices if not adjacency[v])
-    l = sum(
-        1
-        for u, v in graph.edges
-        if len(adjacency[u]) == 1 and len(adjacency[v]) == 1
-    )
-    return k, l
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,22 @@ def _dict_adjacency(vertices, edges) -> dict[int, list[int]]:
     return adjacency
 
 
+def degree_tally(vertices, edges) -> tuple[int, int, int]:
+    """(maximum degree, isolated vertices, isolated edges) over a dict
+    adjacency: a vertex is isolated if it has degree zero, an edge if both
+    of its endpoints have degree one."""
+    adjacency = _dict_adjacency(vertices, edges)
+    top = max((len(ns) for ns in adjacency.values()), default=0)
+    k = sum(1 for ns in adjacency.values() if not ns)
+    l = sum(1 for u, v in edges if len(adjacency[u]) == len(adjacency[v]) == 1)
+    return top, k, l
+
+
+def isolated_counts(graph) -> tuple[int, int]:
+    """(isolated vertices, isolated edges) of a ``SimpleGraph``."""
+    return degree_tally(graph.vertices, graph.edges)[1:]
+
+
 def bfs_components(vertices, edges) -> list[tuple[int, ...]]:
     """Components by breadth-first search over a dict adjacency, each sorted,
     ordered by (size desc, min label asc)."""

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from degreelab import cli
 from degreelab.cli import main
@@ -20,7 +24,17 @@ from degreelab.harness import ExperimentConfig, emit, run_experiment
 from degreelab.pruefer import validate_forest
 from degreelab.samplers import RejectionLimitError
 
+from oracles import degree_tally, dict_decompose
+
 TRIANGLE_CORE = "3 3\n1 2\n1 3\n2 3\n"
+
+# K4s on 1..4 and 5..8 with the path 8-9-10: equal cores, so the tie goes
+# to the core with the smallest vertex although 5..10 has more vertices.
+TIED_CORES = (
+    10,
+    [(u, v) for block in (1, 5) for u in range(block, block + 4)
+     for v in range(u + 1, block + 4)] + [(8, 9), (9, 10)],
+)
 
 
 def run_cli(capsys, *argv):
@@ -190,6 +204,38 @@ class TestSampleCommands:
             validate_forest(graph, int(argv[argv.index("--t") + 1]))
 
 
+def _edge_list_text(n, edges):
+    return "".join([f"{n} {len(edges)}\n", *(f"{u} {v}\n" for u, v in edges)])
+
+
+@st.composite
+def _component(draw):
+    """(k, edges) of a connected graph on 0..k-1: a random tree plus up to
+    three chords, so trees, unicyclic and complex components all occur."""
+    k = draw(st.integers(1, 8))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, k)}
+    chords = [(u, v) for u in range(k) for v in range(u + 1, k) if (u, v) not in edges]
+    if chords:
+        edges |= draw(st.sets(st.sampled_from(chords), max_size=3))
+    return k, edges
+
+
+@st.composite
+def component_unions(draw):
+    """(n, edges) of a disjoint union of up to five components, n <= 40, on
+    shuffled labels."""
+    parts = draw(st.lists(_component(), max_size=5))
+    n = sum(k for k, _ in parts)
+    labels = draw(st.permutations(range(1, n + 1)))
+    edges, base = [], 0
+    for k, part in parts:
+        for u, v in part:
+            a, b = labels[base + u], labels[base + v]
+            edges.append((min(a, b), max(a, b)))
+        base += k
+    return n, sorted(edges)
+
+
 class TestDecomposeCommand:
     def test_json_keys_and_values(self, capsys, tmp_path):
         # Bowtie with a pendant plus a disjoint edge and an isolated vertex.
@@ -216,6 +262,86 @@ class TestDecomposeCommand:
         assert payload["max_degree"] == 4
         assert payload["isolated_vertices"] == 1
         assert payload["isolated_edges"] == 1
+
+    @pytest.mark.parametrize(
+        "source,digest",
+        [
+            pytest.param(
+                ["gnm", "--n", "2000", "--m", "1000", "--seed", "1"],
+                "b0152871c928772433a5b532012559634a2b53ab281f9673ac708dc009cdc398",
+                id="ci-gnm-empty-core",
+            ),
+            pytest.param(
+                ["gnm", "--n", "2000", "--m", "1200", "--seed", "1"],
+                "95f0d49b54048043e7376c6ca7bb98b7e4871dbb702309bf8cdfb3a17f25f8a1",
+                id="gnm-with-core",
+            ),
+            pytest.param(
+                _edge_list_text(*TIED_CORES),
+                "db7dace00b6c6196ad4689a22f2085a1ec57c88a30939ad8f5310aa36bba5c49",
+                id="tied-cores",
+            ),
+            pytest.param(
+                "0 0\n",
+                "dc5a66ff8f6e6b36dcfd3a65503e3287be96a38ee942f77e0793546307d8ab88",
+                id="no-vertices",
+            ),
+            pytest.param(
+                "5 0\n",
+                "8bf65417391d4b02fb56cee755ef0d089fe30a6309c1bcc3c4343e717ecfd41b",
+                id="no-edges",
+            ),
+        ],
+    )
+    def test_output_is_pinned(self, capsys, tmp_path, source, digest):
+        # The digests were taken from the output of the SimpleGraph-based
+        # command that the mask-based one replaced; a list is a sample argv.
+        if isinstance(source, list):
+            code, source, _ = run_cli(capsys, "sample", *source)
+            assert code == 0
+        path = tmp_path / "graph.txt"
+        path.write_text(source)
+        code, out, _ = run_cli(capsys, "decompose", "--in", str(path))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=component_unions())
+    @example(graph=(0, []))
+    @example(graph=(5, []))
+    @example(graph=(6, [(1, 2), (3, 4), (5, 6)]))
+    @example(graph=(5, [(1, 2), (2, 3), (3, 4), (1, 4)]))  # a bare cycle
+    @example(graph=TIED_CORES)
+    # A diamond on 1..4 goes to qS: the core on 5..9 is larger.
+    @example(graph=(12, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4), (5, 6), (5, 7),
+                         (5, 8), (6, 7), (6, 8), (7, 8), (7, 9), (8, 9), (10, 11)]))
+    def test_payload_matches_the_dict_reference(self, tmp_path_factory, graph):
+        n, edges = graph
+        path = tmp_path_factory.mktemp("decompose") / "graph.txt"
+        path.write_text(_edge_list_text(n, edges))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["decompose", "--in", str(path)]) == 0
+        payload = json.loads(out.getvalue())
+        core, big, small, rest = dict_decompose(range(1, n + 1), edges)
+        assert payload["core_vertices"] == sorted(core)
+        assert payload["qL_vertices"] == sorted(big)
+        assert payload["qS_vertices"] == sorted(small)
+        assert payload["u_vertices"] == sorted(rest)
+        assert (
+            payload["max_degree"],
+            payload["isolated_vertices"],
+            payload["isolated_edges"],
+        ) == degree_tally(range(1, n + 1), edges)
+
+    def test_tied_cores_go_to_the_smallest_vertex(self, capsys, tmp_path):
+        path = tmp_path / "graph.txt"
+        path.write_text(_edge_list_text(*TIED_CORES))
+        code, out, _ = run_cli(capsys, "decompose", "--in", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["qL_vertices"] == [1, 2, 3, 4]
+        assert payload["qS_vertices"] == [5, 6, 7, 8, 9, 10]
 
 
 class TestEdgeListFiles:
@@ -298,6 +424,11 @@ class TestRefusedValues:
                 ["nu", "--n", "0", "--k", "3"],
                 None,
                 "n_bins must be a positive integer, got 0",
+            ),
+            (
+                ["nu", "--n", "0", "--interval", "--m", "1", "--eps", "0.25"],
+                None,
+                "n must be a positive integer, got 0",
             ),
             (
                 ["nu", "--n", "10", "--interval", "--m", "0", "--eps", "0.3"],

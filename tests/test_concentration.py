@@ -143,16 +143,19 @@ class TestPredictedIntervals:
             PredictedInterval(lo=3, hi=2, delta_star=2)
 
     @pytest.mark.parametrize(
-        "m,eps,message",
+        "n,m,eps,message",
         [
-            (0, 0.3, "m must be a positive integer, got 0"),
-            (5, -0.1, "eps must be non-negative, got -0.1"),
-            (4951, 0.3, "m must be at most n\\(n-1\\)/2 = 4950, got 4951"),
+            (100, 0, 0.3, "m must be a positive integer, got 0"),
+            (100, 5, -0.1, "eps must be non-negative, got -0.1"),
+            (100, 4951, 0.3, "m must be at most n\\(n-1\\)/2 = 4950, got 4951"),
+            # n is checked first, so a bad n is not blamed on m.
+            (0, 1, 0.25, "n must be a positive integer, got 0"),
+            (-3, 1, 0.25, "n must be a positive integer, got -3"),
         ],
     )
-    def test_sparse_rejects_bad_arguments(self, m, eps, message):
+    def test_sparse_rejects_bad_arguments(self, n, m, eps, message):
         with pytest.raises(ValueError, match=message):
-            predicted_interval_sparse(100, m, eps)
+            predicted_interval_sparse(n, m, eps)
 
     def test_sparse_accepts_the_complete_graph_edge_count(self):
         interval = predicted_interval_sparse(100, 4950, 0.3)

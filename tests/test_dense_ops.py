@@ -28,7 +28,6 @@ from degreelab.dense_ops import (
 from degreelab.graphs import (
     SimpleGraph,
     complete_graph_edges,
-    isolated_counts,
     max_degree,
     planarity_table,
 )
@@ -39,6 +38,7 @@ from oracles import (
     bitwise_class_tally,
     bitwise_signatures,
     graph_class_count_by_assembly,
+    isolated_counts,
     networkx_planar,
 )
 

@@ -25,7 +25,6 @@ from degreelab.graphs import (
     decompose_masks,
     format_edge_list,
     induced_subgraph,
-    isolated_counts,
     max_degree,
     parse_edge_list,
     peel,
@@ -40,6 +39,7 @@ from oracles import (
     PLANAR_GRAPH_COUNTS,
     bfs_components,
     dict_decompose,
+    isolated_counts,
     networkx_planar,
     queue_peel,
     scipy_component_stats,
