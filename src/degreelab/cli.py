@@ -29,8 +29,8 @@ from degreelab.balls_bins import max_load, sample_locations
 from degreelab.dense_ops import sweep_ratio_bounds
 from degreelab.graphs import (
     SimpleGraph,
-    _decompose,
     _edge_arrays,
+    decompose_masks,
     format_edge_list,
     read_edge_list,
 )
@@ -270,7 +270,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     n = args.graph.order
     us, vs = _edge_arrays(args.graph)
     degree = np.bincount(np.concatenate((us, vs)), minlength=n + 1)
-    core, big, small = _decompose(n, us, vs, degree[1:])
+    core, big, small = decompose_masks(n, us, vs, degree[1:])
     leaf = degree == 1
     payload = {
         "core_vertices": np.flatnonzero(core).tolist(),

@@ -2,13 +2,15 @@
 
 Graph algorithms run on endpoint arrays (1-based labels on [n]):
 ``component_stats`` labels components by hooking roots and pointer jumping
-in NumPy, ``peel`` computes the 2-core by deleting leaves, each of which
+in NumPy, ``_peel`` computes the 2-core by deleting leaves, each of which
 finds its one live neighbour as the sum of its live neighbours (no adjacency
 index; sums stay below n * deg < 2^63 and update through NumPy's indexed
 add/subtract loops, which XOR lacks), and ``decompose_masks`` peels first,
 labels the components of the 2-core alone and hands each deleted vertex the
-core component of the parent it was peeled from.  The ``SimpleGraph``
-functions convert their edges and call these.
+core component of the parent it was peeled from.  Both take the degree
+sequence when the caller has it and return masks indexed by label, with a
+False slot 0.  The ``SimpleGraph`` functions convert their edges and call
+these.
 
 A component is *complex* if it has at least two independent cycles (edge
 count >= vertex count + 1).  The complex part of a graph is the union of its
@@ -16,7 +18,8 @@ complex components; peeling degree-one vertices from it yields the core, a
 graph of minimum degree two with no bare-cycle components.  The decomposition
 splits a graph into the complex component containing the largest core
 component, the remaining complex components, and the non-complex rest.
-``_decompose`` alone applies the excess rule; the non-complex sampler asks it.
+``decompose_masks`` alone applies the excess rule; the non-complex sampler
+asks it.
 
 Planarity is decided for every graph on n <= 7 vertices at once:
 ``_kuratowski_masks`` grows the Kuratowski-subdivision edge masks from every
@@ -49,12 +52,13 @@ class EnumerationLimitError(ValueError):
 class SimpleGraph:
     """Immutable labelled simple graph on an explicit vertex set.
 
-    Vertices are positive integers; edges are unordered pairs of distinct
-    vertices, stored with the smaller endpoint first.  ``edges`` may be given
-    as any iterable of pairs; an edge given twice, in either orientation, is
-    an error.  An empty vertex set is allowed so that subgraphs (cores,
-    decomposition parts) can be empty.  Every constructor, ``from_arrays``
-    included, goes through ``__post_init__``, the one check of these rules.
+    Vertices are positive integers (Python or NumPy integers, not bools);
+    edges are unordered pairs of distinct vertices, stored with the smaller
+    endpoint first.  ``edges`` may be given as any iterable of pairs; an edge
+    given twice, in either orientation, is an error.  An empty vertex set is
+    allowed so that subgraphs (cores, decomposition parts) can be empty.
+    Every constructor, ``from_arrays`` included, goes through
+    ``__post_init__``, the one check of these rules.
     """
 
     vertices: tuple[int, ...]
@@ -62,6 +66,12 @@ class SimpleGraph:
 
     def __post_init__(self) -> None:
         vset = set(self.vertices)
+        # One pass takes the type of every label; Python and NumPy integers
+        # pass, bools do not.  Checked before sorting, which mixed types fail.
+        for kind in set(map(type, vset)):
+            if kind is bool or not issubclass(kind, (int, np.integer)):
+                bad = next(v for v in vset if type(v) is kind)
+                raise ValueError(f"vertex labels must be integers, got {bad!r}")
         vs = tuple(sorted(vset))
         if vs and vs[0] < 1:
             raise ValueError("vertex labels must be positive integers")
@@ -211,7 +221,7 @@ def component_stats(
     return labels, vertex_counts, edge_counts
 
 
-#: Frontier width above which ``peel`` deletes a whole frontier in one NumPy
+#: Frontier width above which ``_peel`` deletes a whole frontier in one NumPy
 #: round; below it, one leaf at a time in Python costs less than a round's
 #: fixed NumPy overhead.
 _BULK_FRONTIER = 64
@@ -223,19 +233,42 @@ def _peel(
     vs: np.ndarray,
     degree: np.ndarray | None = None,
 ) -> tuple:
-    """The peel of ``peel``, on the labels with slot 0 a dead sentinel.
+    """The 2-core, by recursively deleting the vertices of degree <= 1.
+
+    Returns (alive, bulk, tail): alive[v] is True iff v lies in the classical
+    2-core, with slot 0 a dead sentinel.  ``bulk`` lists one (leaves,
+    parents) array pair per bulk round and ``tail`` one (leaf, parent) pair
+    per step of the stack, each for the leaves deleted while their parent
+    was live, in deletion order; ``decompose_masks`` replays them, and a
+    caller that wants only the 2-core drops them, which costs no measurable
+    time.
 
     ``degree`` is the degree sequence on [n] (degree[v - 1] of vertex v)
-    when the caller already has it, as ``_decompose`` gets the bin loads of
-    a draw in the decomposition trial and the non-complex sampler's check;
-    it is copied, not modified.  Without it the peel counts the endpoints
-    itself.  Vertices of degree 0 start dead and never enter a frontier, so
-    the first frontier is the vertices of degree exactly 1.
+    when the caller already has it, as ``decompose_masks`` gets the bin
+    loads of a draw in the decomposition trial and the non-complex sampler's
+    check; it is copied, not modified.  Without it the peel counts the
+    endpoints itself.
 
-    Returns (alive, bulk, tail): ``bulk`` lists one (leaves, parents) array
-    pair per bulk round and ``tail`` one (leaf, parent) pair per step of the
-    stack, each for the leaves deleted while their parent was live, in
-    deletion order.  ``peel`` drops the lists, which cost no measurable time.
+    The peel keeps two arrays on the labels, with slot 0 the sentinel: each
+    vertex's live degree and ``link``, the sum of its live neighbours.  A
+    vertex of degree one therefore has ``link[v]`` as its one live
+    neighbour, and one whose last neighbour died has link 0, the sentinel,
+    so deleting a leaf v is ``degree[p] -= 1; link[p] -= v`` with
+    ``p = link[v]`` and needs no adjacency index (the peeling step of Graf &
+    Lemire's XOR filters, with a sum in place of the XOR).  A sum is at most
+    n * deg(v) < 2^63, and every bulk update is then ``np.add.at`` or
+    ``np.subtract.at``, which NumPy runs through indexed fast loops;
+    ``np.bitwise_xor.at`` has none, and on 2e5 updates at n = 1e5 it took
+    1.9 ms against 0.45 ms for ``np.add.at``.
+
+    Isolated vertices start dead and are never visited: a peel needs only
+    the degree sequence and the degree-1 frontier (Batagelj & Zaveršnik,
+    2003), and in G(n, 0.6n) the isolated vertices are about 30 % of [n].
+    A stack of leaves, one deletion at a time, is a complete peel.  While the
+    frontier (live vertices of degree <= 1) is wider than ``_BULK_FRONTIER``,
+    it is deleted in one NumPy round instead; that batches the wide first
+    rounds, and the stack then finishes the narrow tail of hanging trees that
+    are ~sqrt(n) deep, which would otherwise cost one NumPy round per level.
     """
     us, vs = np.asarray(us, dtype=np.intp), np.asarray(vs, dtype=np.intp)
     if degree is None:
@@ -275,33 +308,6 @@ def _peel(
             if degree_at[p] == 1:
                 stack.append(p)
     return alive, bulk, tail
-
-
-def peel(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Mask of the vertices left after recursively deleting those of degree <= 1.
-
-    alive[v - 1] is True iff v lies in the classical 2-core.  The peel keeps
-    two arrays on the labels, with slot 0 a dead sentinel: each vertex's live
-    degree and ``link``, the sum of its live neighbours.  A vertex of degree
-    one therefore has ``link[v]`` as its one live neighbour, and one whose
-    last neighbour died has link 0, the sentinel, so deleting a leaf v is
-    ``degree[p] -= 1; link[p] -= v`` with ``p = link[v]`` and needs no
-    adjacency index (the peeling step of Graf & Lemire's XOR filters, with a
-    sum in place of the XOR).  A sum is at most n * deg(v) < 2^63, and every
-    bulk update is then ``np.add.at`` or ``np.subtract.at``, which NumPy runs
-    through indexed fast loops; ``np.bitwise_xor.at`` has none, and on 2e5
-    updates at n = 1e5 it took 1.9 ms against 0.45 ms for ``np.add.at``.
-
-    Isolated vertices start dead and are never visited: a peel needs only
-    the degree sequence and the degree-1 frontier (Batagelj & Zaveršnik,
-    2003), and in G(n, 0.6n) the isolated vertices are about 30 % of [n].
-    A stack of leaves, one deletion at a time, is a complete peel.  While the
-    frontier (live vertices of degree <= 1) is wider than ``_BULK_FRONTIER``,
-    it is deleted in one NumPy round instead; that batches the wide first
-    rounds, and the stack then finishes the narrow tail of hanging trees that
-    are ~sqrt(n) deep, which would otherwise cost one NumPy round per level.
-    """
-    return _peel(n, us, vs)[0][1:]
 
 
 def _leaf_ordered(n: int, t: int, lo: np.ndarray, hi: np.ndarray) -> bool:
@@ -344,18 +350,36 @@ def _leaf_ordered(n: int, t: int, lo: np.ndarray, hi: np.ndarray) -> bool:
     return bool(seen[:m].all())
 
 
-def _decompose(
+def decompose_masks(
     n: int, us: np.ndarray, vs: np.ndarray, degree: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The masks of ``decompose_masks`` on the labels, each with a False slot 0.
+    """Vertex masks (core, big, small) of the decomposition of the graph on [n].
 
-    Indexed by the 1-based labels directly, so statistics over the edges
-    need no ``us - 1`` temporaries.  ``degree`` is handed to ``_peel``, whose
-    deletions, replayed last first, hand each core component to its trees.
-    Callers that have the degrees use these padded masks: the decomposition
-    trial of ``harness`` reads them at the endpoints, and the non-complex
-    check of ``samplers.sample_gnm_arrays`` rejects iff the core is
-    non-empty.  Every other caller goes through ``decompose_masks``.
+    The masks are indexed by the 1-based labels, each with a False slot 0,
+    so statistics over the edges read them at the endpoints with no
+    ``us - 1`` temporaries, and their nonzero positions are labels.
+    ``degree`` is the degree sequence on [n], handed to ``_peel``: the
+    decomposition trial of ``harness`` passes the bin loads of its draw, the
+    CLI its one degree count, and the non-complex check of
+    ``samplers.sample_gnm_arrays`` rejects iff the core is non-empty.
+
+    The core is the 2-core restricted to complex components.  The core of a
+    complex component is connected, so core components and complex
+    components correspond one to one; ``big`` is the complex component with
+    the most core vertices (ties to the smallest core vertex) and ``small``
+    the other complex components.  The non-complex part is ~(big | small)
+    past slot 0.
+
+    The graph is peeled first; isolated vertices start dead and stay in the
+    non-complex part.  Deleting a leaf keeps its component connected and
+    keeps its edge count minus vertex count, so each component has a
+    connected or empty 2-core, complex iff the component is:
+    ``component_stats`` runs on the 2-core alone (about 5% of the vertices at
+    m = 0.6n).  Every deleted vertex then takes the core component of the
+    live parent it was deleted from, in reverse deletion order (a parent is
+    deleted after its leaf, or never): the stack's pairs one at a time, then
+    the bulk rounds as gathers.  A vertex deleted with no live parent lies in
+    a tree component and belongs to no complex one.
     """
     alive, bulk, tail = _peel(n, us, vs, degree)
     us, vs = np.asarray(us, dtype=np.intp), np.asarray(vs, dtype=np.intp)
@@ -389,32 +413,6 @@ def _decompose(
     return core, big, in_complex & ~big
 
 
-def decompose_masks(
-    n: int, us: np.ndarray, vs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vertex masks (core, big, small) of the decomposition of the graph on [n].
-
-    The core is the 2-core restricted to complex components.  The core of a
-    complex component is connected, so core components and complex
-    components correspond one to one; ``big`` is the complex component with
-    the most core vertices (ties to the smallest core vertex) and ``small``
-    the other complex components.  The non-complex part is ~(big | small).
-
-    The graph is peeled first; isolated vertices start dead and stay in the
-    non-complex part.  Deleting a leaf keeps its component connected and
-    keeps its edge count minus vertex count, so each component has a
-    connected or empty 2-core, complex iff the component is:
-    ``component_stats`` runs on the 2-core alone (about 5% of the vertices at
-    m = 0.6n).  Every deleted vertex then takes the core component of the
-    live parent it was deleted from, in reverse deletion order (a parent is
-    deleted after its leaf, or never): the stack's pairs one at a time, then
-    the bulk rounds as gathers.  A vertex deleted with no live parent lies in
-    a tree component and belongs to no complex one.
-    """
-    core, big, small = _decompose(n, us, vs)
-    return core[1:], big[1:], small[1:]
-
-
 # ---------------------------------------------------------------------------
 # SimpleGraph operations, through the array kernels
 # ---------------------------------------------------------------------------
@@ -432,7 +430,8 @@ def _edge_arrays(graph: SimpleGraph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _select(graph: SimpleGraph, mask: np.ndarray) -> list[int]:
-    return np.array(graph.vertices, dtype=np.int64)[mask].tolist()
+    """The vertices picked by a mask indexed by label, slot 0 dropped."""
+    return np.array(graph.vertices, dtype=np.int64)[mask[1:]].tolist()
 
 
 def components(graph: SimpleGraph) -> list[tuple[int, ...]]:
@@ -462,7 +461,7 @@ def peeled_core(graph: SimpleGraph) -> SimpleGraph:
     This is the classical 2-core: minimum degree two, bare-cycle components
     retained.  Compare ``two_core``, which also drops bare cycles.
     """
-    alive = peel(graph.order, *_edge_arrays(graph))
+    alive = _peel(graph.order, *_edge_arrays(graph))[0]
     return induced_subgraph(graph, _select(graph, alive))
 
 

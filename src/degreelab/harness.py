@@ -45,8 +45,8 @@ from degreelab.balls_bins import max_load, sample_locations
 from degreelab.graphs import (
     ENUMERATION_LIMIT,
     SimpleGraph,
-    _decompose,
     _leaf_ordered,
+    decompose_masks,
 )
 from degreelab.pruefer import decode_arrays, sample_codeword, sample_forest_degrees
 from degreelab.rng import derive_rng
@@ -69,18 +69,21 @@ JOBS_ENV_VAR = "DEGREELAB_JOBS"
 _WORKER_START_S = 0.002
 
 
-def _check_integer(name: str, value: Any) -> None:
-    """Raise ValueError unless ``value`` is an integer (not a bool)."""
+def _check_integer(name: str, value: Any) -> int:
+    """``value`` as a Python int, so that a NumPy integer derives seeds and
+    serialises as JSON; ValueError unless it is an integer (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
-def _check_count(name: str, value: Any, minimum: int) -> None:
-    """Raise ValueError unless ``value`` is an integer >= minimum (not a bool)."""
-    _check_integer(name, value)
+def _check_count(name: str, value: Any, minimum: int) -> int:
+    """``value`` as a Python int; ValueError unless it is an integer >= minimum."""
+    value = _check_integer(name, value)
     if value < minimum:
         kind = "a positive" if minimum == 1 else "a non-negative"
         raise ValueError(f"{name} must be {kind} integer, got {value}")
+    return value
 
 
 def _core_graph(value: Any) -> SimpleGraph:
@@ -152,19 +155,22 @@ class ExperimentConfig:
         if isinstance(self.n, (list, tuple)):
             if not self.n:
                 raise ValueError("n must be an integer or a non-empty grid, got []")
-            for v in self.n:
-                _check_count("n", v, minimum=1)
-            if len(set(self.n)) < len(self.n):
-                raise ValueError(f"n must not repeat a grid size, got {list(self.n)}")
-            object.__setattr__(self, "n", tuple(int(v) for v in self.n))
+            grid = tuple(_check_count("n", v, minimum=1) for v in self.n)
+            if len(set(grid)) < len(grid):
+                raise ValueError(f"n must not repeat a grid size, got {list(grid)}")
+            object.__setattr__(self, "n", grid)
         elif self.n is not None:
-            _check_count("n", self.n, minimum=1)
-        _check_count("trials", self.trials, minimum=1)
-        _check_integer("seed", self.seed)
-        _check_count("max_attempts", self.max_attempts, minimum=1)
+            object.__setattr__(self, "n", _check_count("n", self.n, minimum=1))
+        checked = {
+            "trials": _check_count("trials", self.trials, minimum=1),
+            "seed": _check_integer("seed", self.seed),
+            "max_attempts": _check_count("max_attempts", self.max_attempts, minimum=1),
+        }
         for name in ("m", "balls", "t", "q"):
             if getattr(self, name) is not None:
-                _check_count(name, getattr(self, name), minimum=0)
+                checked[name] = _check_count(name, getattr(self, name), minimum=0)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         eps = self.eps
         if (
             isinstance(eps, bool)
@@ -430,7 +436,7 @@ def _decomposition_trial(cfg, plan, rng, aux) -> int:
     """
     n = plan["n"]
     us, vs, loads, report = sample_gnm_arrays(n, plan["m"], rng, cfg.max_attempts)
-    core, big, small = _decompose(n, us, vs, loads)
+    core, big, small = decompose_masks(n, us, vs, loads)
     core_edge = core[us] & core[vs]
     core_degrees = np.bincount(np.concatenate((us[core_edge], vs[core_edge])))
     qL_vertices = int(np.count_nonzero(big))

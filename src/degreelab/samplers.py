@@ -6,10 +6,11 @@ loads.  Conditioned on being simple it is a uniform simple graph, and
 conditioned further on having no complex component it is uniform over graphs
 without complex components (hence planar).  ``sample_gnm_arrays`` realises
 both conditionings by rejection; a draw has a complex component iff the core
-mask of ``graphs._decompose``, peeled from the bin loads, is non-empty.  The
-acceptance probability is bounded away from zero for simplicity at m = O(n),
-but for no complex component only at m <= n/2 + O(n^(2/3)): above the
-critical window it tends to zero (2,000 draws at n = 1e4, m = 0.6n, all fail).
+mask of ``graphs.decompose_masks``, peeled from the bin loads, is non-empty.
+The acceptance probability is bounded away from zero for simplicity at
+m = O(n), but for no complex component only at m <= n/2 + O(n^(2/3)): above
+the critical window it tends to zero (2,000 draws at n = 1e4, m = 0.6n, all
+fail).
 
 A uniform complex part with a prescribed core is built directly, without
 rejection, by attaching a uniform rooted forest to the core's vertices:
@@ -25,7 +26,7 @@ import numpy as np
 
 from degreelab.balls_bins import loads as bin_loads
 from degreelab.balls_bins import sample_locations
-from degreelab.graphs import SimpleGraph, _decompose, _edge_arrays, degree_sequence
+from degreelab.graphs import SimpleGraph, _edge_arrays, decompose_masks, degree_sequence
 from degreelab.pruefer import (
     codeword_degrees,
     decode_arrays,
@@ -70,11 +71,11 @@ def sample_gnm_arrays(
 
     Each attempt draws 2m uniform locations and keeps them iff the paired
     multigraph is simple (and, when ``require_noncomplex``, additionally has
-    no complex component: ``graphs._decompose``, peeling from the returned
-    loads without modifying them, finds an empty core).  Rejection reasons
-    are classified in check order: loop, then parallel edge, then complex
-    component.  Raises RejectionLimitError once ``max_attempts`` draws have
-    been rejected.
+    no complex component: ``graphs.decompose_masks``, peeling from the
+    returned loads without modifying them, finds an empty core).  Rejection
+    reasons are classified in check order: loop, then parallel edge, then
+    complex component.  Raises RejectionLimitError once ``max_attempts``
+    draws have been rejected.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -106,7 +107,7 @@ def sample_gnm_arrays(
                 report.reject_reasons[REJECT_PARALLEL] += 1
                 continue
         loads = bin_loads(entries, n)
-        if require_noncomplex and _decompose(n, us, vs, loads)[0].any():
+        if require_noncomplex and decompose_masks(n, us, vs, loads)[0].any():
             report.reject_reasons[REJECT_COMPLEX] += 1
             continue
         report.accepted = True

@@ -31,7 +31,7 @@ from degreelab.concentration import (
     load_exponent,
 )
 from degreelab.dense_ops import classify_all_graphs, sweep_ratio_bounds
-from degreelab.graphs import SimpleGraph, peel
+from degreelab.graphs import SimpleGraph, _peel
 from degreelab.harness import ExperimentConfig, run_experiment
 from degreelab.pruefer import count_forests, decode, encode
 from degreelab.rng import derive_rng
@@ -349,10 +349,10 @@ def test_criterion_07_core_recovered_exactly(complexpart_campaign):
     for record in result.records:
         us, vs = complex_part_arrays(core, q, derive_rng(seed, record.trial_index))
         assert int(np.bincount(np.concatenate((us, vs))).max()) == record.observed
-        alive = peel(q, us, vs)
-        kept = np.flatnonzero(alive[us - 1] & alive[vs - 1])
+        alive = _peel(q, us, vs)[0]
+        kept = np.flatnonzero(alive[us] & alive[vs])
         recovered = np.array_equal(
-            np.flatnonzero(alive), np.arange(3)
+            np.flatnonzero(alive), np.arange(1, 4)
         ) and np.array_equal(kept, np.arange(3))
         assert record.auxiliary["core_recovered"] == recovered
         peeled += recovered

@@ -15,7 +15,6 @@ from degreelab.graphs import (
     SimpleGraph,
     _edge_arrays,
     _kuratowski_masks,
-    _decompose,
     _leaf_ordered,
     _peel,
     complete_graph_edges,
@@ -27,7 +26,6 @@ from degreelab.graphs import (
     induced_subgraph,
     max_degree,
     parse_edge_list,
-    peel,
     peeled_core,
     planarity_table,
     two_core,
@@ -115,6 +113,28 @@ class TestSimpleGraphBasics:
             SimpleGraph(vertices=(1, 2, 3), edges=edges)
         with pytest.raises(ValueError, match=repeated):
             SimpleGraph.from_edges(3, edges)
+
+    @pytest.mark.parametrize(
+        "vertices,bad",
+        [
+            ((1, 2.5, 3), "2.5"),
+            ((1, 2, 3.0), "3.0"),
+            ((True, 2), "True"),
+            ((1, "2"), "'2'"),
+            ((1, np.float64(2)), "2.0"),
+        ],
+    )
+    def test_rejects_labels_that_are_not_integers(self, vertices, bad):
+        # A float label was once truncated by the kernels' int64 edge arrays:
+        # components((1, 2.5, 3), [(1, 2.5)]) named a vertex 2.
+        with pytest.raises(ValueError, match=f"must be integers, got .*{bad}"):
+            SimpleGraph(vertices=vertices, edges=[(1, vertices[1])])
+
+    def test_numpy_integer_labels_are_accepted(self):
+        graph = SimpleGraph(
+            vertices=(np.int64(1), np.int32(2), np.uint8(7)), edges=[(1, 2)]
+        )
+        assert components(graph) == [(1, 2), (7,)]
 
     def test_edges_are_canonicalised(self):
         graph = SimpleGraph.from_edges(3, [(3, 1), (2, 1)])
@@ -292,7 +312,7 @@ class TestCores:
                     in_complex[list(comp)] = is_complex
                 keep = in_complex[us]
                 core, _, _ = decompose_masks(n, us, vs)
-                assert np.array_equal(core, peel(n, us[keep], vs[keep]))
+                assert np.array_equal(core, _peel(n, us[keep], vs[keep])[0])
 
 
 class TestDecompose:
@@ -395,15 +415,15 @@ class TestDecompose:
                 core, big, small = decompose_masks(n, us, vs)
                 if not core.any():
                     continue
-                in_core = core[us - 1] & core[vs - 1]
+                in_core = core[us] & core[vs]
                 core_comps = bfs_components(
-                    (np.flatnonzero(core) + 1).tolist(),
+                    np.flatnonzero(core).tolist(),
                     zip(us[in_core].tolist(), vs[in_core].tolist()),
                 )
-                largest = np.zeros(n, dtype=bool)
-                largest[np.array(core_comps[0]) - 1] = True
+                largest = np.zeros(n + 1, dtype=bool)
+                largest[np.array(core_comps[0])] = True
                 for part, part_core in ((big, largest), (small, core & ~largest)):
-                    keep = part[us - 1]
+                    keep = part[us]
                     assert np.array_equal(
                         decompose_masks(n, us[keep], vs[keep])[0], part_core
                     )
@@ -499,7 +519,9 @@ def first_frontier(n: int, us: np.ndarray, vs: np.ndarray) -> int:
 
 
 def mask_sets(masks) -> list[set[int]]:
-    return [set((np.flatnonzero(mask) + 1).tolist()) for mask in masks]
+    """The labels each mask picks; every mask is indexed by label, slot 0 False."""
+    assert not any(mask[0] for mask in masks)
+    return [set(np.flatnonzero(mask).tolist()) for mask in masks]
 
 
 def assert_decompose_matches_dict(n: int, us: np.ndarray, vs: np.ndarray):
@@ -509,16 +531,16 @@ def assert_decompose_matches_dict(n: int, us: np.ndarray, vs: np.ndarray):
     core, big, small, rest = dict_decompose(range(1, n + 1), edges)
     for dtype in (np.int64, np.int32, np.uint64):
         masks = decompose_masks(n, us.astype(dtype), vs.astype(dtype))
-        assert all(mask.shape == (n,) and mask.dtype == bool for mask in masks)
+        assert all(mask.shape == (n + 1,) and mask.dtype == bool for mask in masks)
         assert mask_sets(masks) == [core, big, small]
     return core, big, small, rest
 
 
 def assert_peel_matches_queue(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    alive = peel(n, us, vs)
-    assert alive.shape == (n,) and alive.dtype == bool
+    alive = _peel(n, us, vs)[0]
+    assert alive.shape == (n + 1,) and alive.dtype == bool and not alive[0]
     edges = list(zip(us.tolist(), vs.tolist()))
-    assert set((np.flatnonzero(alive) + 1).tolist()) == queue_peel(
+    assert set(np.flatnonzero(alive).tolist()) == queue_peel(
         range(1, n + 1), edges
     )
     return alive
@@ -606,7 +628,7 @@ class TestArrayKernels:
     )
     def test_peel_counts_each_vertex_once_per_round(self, n, edges, core):
         us, vs = (np.array(side, dtype=np.int64) for side in zip(*edges))
-        alive = set((np.flatnonzero(peel(n, us, vs)) + 1).tolist())
+        alive = set(np.flatnonzero(_peel(n, us, vs)[0]).tolist())
         assert alive == queue_peel(range(1, n + 1), edges) == core
 
     def test_no_hash_unique_on_the_sampling_path(self, monkeypatch):
@@ -622,10 +644,10 @@ class TestArrayKernels:
             us, vs, _, _ = sample_gnm_arrays(
                 60, 40, rng, require_noncomplex=noncomplex
             )
-            peel(60, us, vs)
+            _peel(60, us, vs)
         us, vs = complex_part_arrays(SimpleGraph.from_edges(3, TRIANGLE), 2000, rng)
         assert first_frontier(2000, us, vs) > _BULK_FRONTIER
-        peel(2000, us, vs)
+        _peel(2000, us, vs)
         validate_forest(SimpleGraph.from_edges(4, [(1, 3), (2, 4)]), 2)
 
     def test_no_unindexed_ufunc_at_in_peel_and_decompose(self, monkeypatch):
@@ -651,12 +673,13 @@ class TestArrayKernels:
         us, vs = complex_part_arrays(bowtie, 2000, rng)
         assert first_frontier(2000, us, vs) > _BULK_FRONTIER
         for n, a, b in ((2000, us, vs), (5, *_edge_arrays(bowtie))):
-            assert peel(n, a, b).any()
+            assert _peel(n, a, b)[0].any()
             assert decompose_masks(n, a, b)[0].any()
 
     def test_bare_cycle_is_peeled_but_not_core(self):
         n, us, vs = 5, np.array([1, 2, 3, 4, 1]), np.array([2, 3, 4, 5, 5])
-        assert peel(n, us, vs).all()
+        alive = _peel(n, us, vs)[0]
+        assert alive[1:].all() and not alive[0]
         core, big, small = decompose_masks(n, us, vs)
         assert not (core.any() or big.any() or small.any())
 
@@ -664,11 +687,11 @@ class TestArrayKernels:
         empty = np.zeros(0, dtype=np.int64)
         labels, vertex_counts, edge_counts = component_stats(0, empty, empty)
         assert labels.size == vertex_counts.size == edge_counts.size == 0
-        assert peel(0, empty, empty).size == 0
+        assert _peel(0, empty, empty)[0].tolist() == [False]
         labels, vertex_counts, edge_counts = component_stats(4, empty, empty)
         assert vertex_counts.tolist() == [1, 1, 1, 1]
         assert edge_counts.tolist() == [0, 0, 0, 0]
-        assert not peel(4, empty, empty).any()
+        assert not _peel(4, empty, empty)[0].any()
         assert components(SimpleGraph.from_edges(0)) == []
 
     def test_graph_operations_on_relabelled_vertex_sets(self):
@@ -731,11 +754,16 @@ def assert_peel_same_with_degrees(n: int, us: np.ndarray, vs: np.ndarray):
 
 
 def assert_decompose_same_with_degrees(n: int, us, vs, degree: np.ndarray):
-    """``_decompose`` given the degrees returns the masks of
-    ``decompose_masks``, which counts them, behind a False slot 0."""
-    for mask, padded in zip(decompose_masks(n, us, vs), _decompose(n, us, vs, degree)):
-        assert not padded[0]
-        np.testing.assert_array_equal(padded[1:], mask)
+    """``decompose_masks`` given the degrees returns the masks it returns
+    when it counts them itself, each with a False slot 0, and leaves the
+    given array as it was."""
+    given = degree.copy()
+    for mask, given_mask in zip(
+        decompose_masks(n, us, vs), decompose_masks(n, us, vs, given)
+    ):
+        assert not given_mask[0]
+        np.testing.assert_array_equal(given_mask, mask)
+    np.testing.assert_array_equal(given, degree)
 
 
 class TestPeelGivenDegrees:
@@ -778,7 +806,7 @@ class TestPeelBulkRounds:
         alive = assert_peel_matches_queue(n, us, vs)
         for dtype in (np.int32, np.uint64):
             np.testing.assert_array_equal(
-                peel(n, us.astype(dtype), vs.astype(dtype)), alive
+                _peel(n, us.astype(dtype), vs.astype(dtype))[0], alive
             )
 
     @settings(deadline=None)
@@ -841,12 +869,12 @@ def peels_to_core(n: int, core, lo, hi) -> bool:
     exactly [1, v(core)] survives, with the core's edges."""
     core_us, core_vs = (np.array(side, dtype=np.int64) for side in zip(*core))
     us, vs = np.concatenate((core_us, lo)), np.concatenate((core_vs, hi))
-    alive = peel(n, us, vs)
-    kept = np.flatnonzero(alive[us - 1] & alive[vs - 1])
+    alive = _peel(n, us, vs)[0]
+    kept = np.flatnonzero(alive[us] & alive[vs])
     v = max(map(max, core))
-    return np.array_equal(np.flatnonzero(alive), np.arange(v)) and np.array_equal(
-        kept, np.arange(len(core))
-    )
+    return np.array_equal(
+        np.flatnonzero(alive), np.arange(1, v + 1)
+    ) and np.array_equal(kept, np.arange(len(core)))
 
 
 def forest_case(forest) -> tuple[int, np.ndarray, np.ndarray]:

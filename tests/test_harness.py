@@ -12,6 +12,7 @@ from dataclasses import replace
 from itertools import combinations, count
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -573,8 +574,48 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must"):
             ExperimentConfig.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(
+                experiment="gnm_maxdegree", n=(50, 60), trials=2, seed=-4, m=10,
+                max_attempts=5,
+            ),
+            dict(experiment="bins_concentration", n=50, balls=40),
+            dict(experiment="forest_maxdegree", n=50, t=3),
+            dict(experiment="complexpart_maxdegree", q=50, core=TRIANGLE),
+        ],
+        ids=["gnm", "bins", "forest", "complexpart"],
+    )
+    def test_every_integer_field_is_stored_as_a_python_int(self, fields):
+        integers = fields.keys() - {"experiment", "core"}
+        as_numpy = {
+            name: tuple(map(np.int32, v)) if isinstance(v, tuple) else np.int32(v)
+            for name, v in fields.items()
+            if name in integers
+        }
+        cfg = ExperimentConfig(**{**fields, **as_numpy})
+        assert cfg == ExperimentConfig(**fields)
+        for name in integers:
+            value = getattr(cfg, name)
+            grid = value if isinstance(value, tuple) else (value,)
+            assert all(type(v) is int for v in grid)
+
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("name", ["n", "trials", "seed", "m"])
+    def test_numpy_integer_fields_run_as_python_ints(self, name, tmp_path):
+        # A NumPy trials or seed overflowed in the seed derivation; a NumPy
+        # n or m reached the summary, which json.dumps refused.
+        fields = dict(experiment="gnm_maxdegree", n=100, trials=2, seed=3, m=30)
+        plain = run_experiment(ExperimentConfig(**fields))
+        cfg = ExperimentConfig(**{**fields, name: np.int64(fields[name])})
+        assert type(getattr(cfg, name)) is int
+        result = run_experiment(cfg)
+        assert result.records == plain.records
+        assert json.dumps(result.summary) == json.dumps(plain.summary)
+        emit(result.records, "json", str(tmp_path / "out.json"), result.summary)
+
     def test_bins_records_and_summary(self):
         cfg = ExperimentConfig(
             experiment="bins_concentration", n=100, trials=8, seed=5, eps=2.0

@@ -190,7 +190,7 @@ class TestSampleNoncomplex:
                 entries = np.array(chosen).ravel()
                 us, vs = entries[0::2], entries[1::2]
                 degrees = bin_loads(entries, 6)
-                assert graphs._decompose(6, us, vs, degrees)[0].any() == (
+                assert graphs.decompose_masks(6, us, vs, degrees)[0].any() == (
                     has_complex_component(6, set(chosen))
                 )
 
