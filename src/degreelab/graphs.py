@@ -52,12 +52,12 @@ class EnumerationLimitError(ValueError):
 class SimpleGraph:
     """Immutable labelled simple graph on an explicit vertex set.
 
-    Vertices are positive integers (Python or NumPy integers, not bools);
-    edges are unordered pairs of distinct vertices, stored with the smaller
-    endpoint first.  ``edges`` may be given as any iterable of pairs; an edge
-    given twice, in either orientation, is an error.  An empty vertex set is
-    allowed so that subgraphs (cores, decomposition parts) can be empty.
-    Every constructor, ``from_arrays`` included, goes through
+    Vertex labels and edge endpoints are Python or NumPy integers, not bools,
+    and labels are positive; edges are unordered pairs of distinct vertices,
+    stored with the smaller endpoint first.  ``edges`` may be any iterable of
+    pairs; an edge given twice, in either orientation, is an error.  An empty
+    vertex set is allowed so that subgraphs (cores, decomposition parts) can
+    be empty.  Every constructor, ``from_arrays`` included, goes through
     ``__post_init__``, the one check of these rules.
     """
 
@@ -65,19 +65,24 @@ class SimpleGraph:
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        vset = set(self.vertices)
-        # One pass takes the type of every label; Python and NumPy integers
-        # pass, bools do not.  Checked before sorting, which mixed types fail.
-        for kind in set(map(type, vset)):
+        # Python and NumPy integers pass, bools do not.  Types are checked
+        # first: hashing fails on a label such as [2], sorting on mixed types.
+        for kind in set(map(type, self.vertices)):
             if kind is bool or not issubclass(kind, (int, np.integer)):
-                bad = next(v for v in vset if type(v) is kind)
+                bad = next(v for v in self.vertices if type(v) is kind)
                 raise ValueError(f"vertex labels must be integers, got {bad!r}")
+        vset = set(self.vertices)
         vs = tuple(sorted(vset))
         if vs and vs[0] < 1:
             raise ValueError("vertex labels must be positive integers")
         object.__setattr__(self, "vertices", vs)
         canonical = set()
         for u, v in self.edges:
+            # The same rule for endpoints, before 2.0 or True can equal a label.
+            if type(u) is not int or type(v) is not int:
+                for x in (u, v):
+                    if type(x) is bool or not isinstance(x, (int, np.integer)):
+                        raise ValueError(f"edge endpoints must be integers, got {x!r}")
             if u == v:
                 raise ValueError(f"loop at vertex {u} is not a simple-graph edge")
             e = (u, v) if u < v else (v, u)
@@ -99,18 +104,14 @@ class SimpleGraph:
     def from_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray) -> SimpleGraph:
         """Graph on vertex set 1..n with edges (us[i], vs[i]).
 
-        The arrays must be one-dimensional integer arrays of equal length;
-        the edges are then checked as ``from_edges`` checks them.
+        The arrays must be one-dimensional and of equal length; ``from_edges``
+        checks the endpoints ``tolist`` gives, so a float or bool array fails.
         """
         us, vs = np.asarray(us), np.asarray(vs)
         if us.ndim != 1 or us.shape != vs.shape:
             raise ValueError(
                 f"endpoint arrays must be one-dimensional and of equal length, "
                 f"got shapes {us.shape} and {vs.shape}"
-            )
-        if us.size and (us.dtype.kind not in "iu" or vs.dtype.kind not in "iu"):
-            raise ValueError(
-                f"endpoint labels must be integers, got {us.dtype} and {vs.dtype}"
             )
         return cls.from_edges(n, zip(us.tolist(), vs.tolist()))
 

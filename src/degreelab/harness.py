@@ -90,8 +90,9 @@ def _core_graph(value: Any) -> SimpleGraph:
     """The core given by the edge list ``value``, checked as ``validate_core`` does.
 
     Raises ValueError naming the field and the value unless ``value`` is a
-    list of [u, v] integer pairs forming a simple graph on [1, v] with
-    minimum degree two.
+    list of [u, v] pairs forming a simple graph on [1, v] with minimum degree
+    two.  ``SimpleGraph`` checks the labels, given as a tuple of all endpoints
+    (a set would merge 1.0 into 1).
     """
     if isinstance(value, (str, bytes)) or not isinstance(value, (list, tuple)):
         raise ValueError(f"core must be a list of [u, v] edges, got {value!r}")
@@ -100,17 +101,12 @@ def _core_graph(value: Any) -> SimpleGraph:
             isinstance(edge, (str, bytes))
             or not isinstance(edge, (list, tuple))
             or len(edge) != 2
-            or any(
-                isinstance(x, bool) or not isinstance(x, numbers.Integral)
-                for x in edge
-            )
         ):
             raise ValueError(
                 f"core edges must be [u, v] integer pairs, got {edge!r}"
             )
-    edges = [(int(u), int(v)) for u, v in value]
     try:
-        core = SimpleGraph(vertices=tuple({v for e in edges for v in e}), edges=edges)
+        core = SimpleGraph(vertices=tuple(v for e in value for v in e), edges=value)
         validate_core(core)
     except ValueError as err:
         raise ValueError(f"core {value!r} is not a valid core: {err}") from None
@@ -169,8 +165,7 @@ class ExperimentConfig:
         for name in ("m", "balls", "t", "q"):
             if getattr(self, name) is not None:
                 checked[name] = _check_count(name, getattr(self, name), minimum=0)
-        for name, value in checked.items():
-            object.__setattr__(self, name, value)
+        # As Python floats, so that a float32 serialises and windows use doubles.
         eps = self.eps
         if (
             isinstance(eps, bool)
@@ -178,17 +173,22 @@ class ExperimentConfig:
             or not 0 < eps < math.inf
         ):
             raise ValueError(f"eps must be a positive finite number, got {eps!r}")
+        checked["eps"] = float(eps)
+        rate = self.min_hit_rate
+        if rate is not None:
+            if (
+                isinstance(rate, bool)
+                or not isinstance(rate, numbers.Real)
+                or not 0 <= rate <= 1
+            ):
+                raise ValueError(f"min_hit_rate must lie in [0, 1], got {rate!r}")
+            checked["min_hit_rate"] = float(rate)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if not isinstance(self.planar_only, bool):
             raise ValueError(
                 f"planar_only must be true or false, got {self.planar_only!r}"
             )
-        rate = self.min_hit_rate
-        if rate is not None and (
-            isinstance(rate, bool)
-            or not isinstance(rate, numbers.Real)
-            or not 0 <= rate <= 1
-        ):
-            raise ValueError(f"min_hit_rate must lie in [0, 1], got {rate!r}")
         kind = _KINDS[self.experiment]
         if self.core is not None and "core" not in kind.reads:
             # Refused below; checked first so that a malformed core is named
@@ -265,19 +265,10 @@ def _record(
     hi: int | None,
     auxiliary: dict[str, Any],
 ) -> TrialRecord:
-    in_interval = observed is not None
-    if in_interval and lo is not None and observed < lo:
-        in_interval = False
-    if in_interval and hi is not None and observed > hi:
-        in_interval = False
-    return TrialRecord(
-        trial_index=trial_index,
-        observed=observed,
-        lo=lo,
-        hi=hi,
-        in_interval=in_interval,
-        auxiliary=auxiliary,
+    in_interval = observed is not None and not (
+        (lo is not None and observed < lo) or (hi is not None and observed > hi)
     )
+    return TrialRecord(trial_index, observed, lo, hi, in_interval, auxiliary)
 
 
 @dataclass(frozen=True)
@@ -415,6 +406,8 @@ def _complexpart_trial(cfg, plan, rng, aux) -> int:
     the degrees are read off it.  The decoded forest comes in leaf order, so
     ``_leaf_ordered`` checks without a graft or a peel that peeling recovers
     the core; the plan's ``validate_core`` has checked the core's own half.
+    Over a bare-cycle core, such as a triangle, the graph is unicyclic rather
+    than complex, and the law of its maximum degree is the same.
     """
     core: SimpleGraph = plan["core"]
     q, v = plan["q"], core.order

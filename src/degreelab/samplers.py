@@ -120,7 +120,11 @@ def sample_gnm_arrays(
 
 
 def validate_core(core: SimpleGraph) -> None:
-    """Check that a core occupies [1, v] exactly and has minimum degree two."""
+    """Check that a core occupies [1, v] exactly and has minimum degree two.
+
+    A bare cycle, such as a triangle, passes: the graph grafted onto it is
+    unicyclic, with an empty decomposition core, and its maximum degree has
+    the same law as over any core of minimum degree two."""
     if not core.vertices:
         raise ValueError("the core must have at least one vertex")
     if core.vertices != tuple(range(1, core.order + 1)):

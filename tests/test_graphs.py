@@ -30,6 +30,7 @@ from degreelab.graphs import (
     planarity_table,
     two_core,
 )
+from degreelab.harness import ExperimentConfig
 from degreelab.pruefer import decode_arrays, sample_codeword, validate_forest
 from degreelab.samplers import complex_part_arrays, sample_gnm_arrays
 
@@ -122,6 +123,7 @@ class TestSimpleGraphBasics:
             ((True, 2), "True"),
             ((1, "2"), "'2'"),
             ((1, np.float64(2)), "2.0"),
+            ((1, [2]), "\\[2\\]"),
         ],
     )
     def test_rejects_labels_that_are_not_integers(self, vertices, bad):
@@ -129,6 +131,45 @@ class TestSimpleGraphBasics:
         # components((1, 2.5, 3), [(1, 2.5)]) named a vertex 2.
         with pytest.raises(ValueError, match=f"must be integers, got .*{bad}"):
             SimpleGraph(vertices=vertices, edges=[(1, vertices[1])])
+
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [
+            pytest.param(2.0, "2.0", id="float"),
+            pytest.param(True, "True", id="bool"),
+            pytest.param("2", "'2'", id="str"),
+            pytest.param([2], "\\[2\\]", id="list"),
+            pytest.param(np.float64(2), "2.0", id="numpy-float"),
+        ],
+    )
+    def test_every_way_in_refuses_a_non_integer_endpoint(self, bad, shown):
+        # __post_init__ alone decides what is an integer.  2.0, True and
+        # np.float64(2) compare equal to integer labels, and '2' and [2] fail
+        # to compare with them, so only a type check refuses them all.
+        endpoint = f"edge endpoints must be integers, got .*{shown}"
+        with pytest.raises(ValueError, match=endpoint):
+            SimpleGraph(vertices=(1, 2, 3), edges=[(1, bad)])
+        with pytest.raises(ValueError, match=endpoint):
+            SimpleGraph.from_edges(3, [(bad, 3)])
+        if np.ndim(bad) == 0:  # [2] is no entry of a one-dimensional array
+            with pytest.raises(ValueError, match=endpoint):
+                SimpleGraph.from_arrays(3, np.array([bad]), np.array([3]))
+        # A config core gives every endpoint as a vertex label too.
+        label = f"not a valid core: vertex labels must be integers, got .*{shown}"
+        core = [[1, 2], [2, 3], [3, bad]]
+        with pytest.raises(ValueError, match=label):
+            ExperimentConfig(experiment="complexpart_maxdegree", q=10, core=core)
+
+    def test_from_arrays_checks_object_arrays_entry_by_entry(self):
+        # The check reads the entries, not the dtype.
+        us = np.array([3, 2, np.int64(4)], dtype=object)
+        vs = np.array([1, 4, 5], dtype=object)
+        assert SimpleGraph.from_arrays(5, us, vs) == SimpleGraph.from_edges(
+            5, [(1, 3), (2, 4), (4, 5)]
+        )
+        vs[2] = 5.0
+        with pytest.raises(ValueError, match="endpoints must be integers, got 5.0"):
+            SimpleGraph.from_arrays(5, us, vs)
 
     def test_numpy_integer_labels_are_accepted(self):
         graph = SimpleGraph(
@@ -170,7 +211,8 @@ class TestSimpleGraphBasics:
             pytest.param([1, 1], [2, 2], True, id="repeated-edge"),
             pytest.param([1, 2], [2, 1], True, id="repeated-edge-reversed"),
             pytest.param([1, 2], [2], False, id="unequal-lengths"),
-            pytest.param([1.0, 2.0], [2.0, 3.0], False, id="non-integer-labels"),
+            pytest.param([1.0, 2.0], [2.0, 3.0], True, id="non-integer-labels"),
+            pytest.param([True, False], [2, 3], True, id="bool-labels"),
         ],
     )
     def test_from_arrays_rejects_bad_input(self, us, vs, edge_error):

@@ -616,6 +616,19 @@ class TestRunExperiment:
         assert json.dumps(result.summary) == json.dumps(plain.summary)
         emit(result.records, "json", str(tmp_path / "out.json"), result.summary)
 
+    @pytest.mark.parametrize("scalar", [np.float32, np.float64])
+    @pytest.mark.parametrize("name, value", [("eps", 0.25), ("min_hit_rate", 0.5)])
+    def test_numpy_float_fields_run_as_python_floats(self, name, value, scalar):
+        # A float32 eps or min_hit_rate reached the summary, which json.dumps
+        # refused, and the window arithmetic c - eps ran in float32.
+        fields = dict(experiment="gnm_maxdegree", n=100, trials=2, **{name: value})
+        plain = run_experiment(ExperimentConfig(**fields))
+        cfg = ExperimentConfig(**{**fields, name: scalar(value)})
+        assert type(getattr(cfg, name)) is float
+        result = run_experiment(cfg)
+        assert result.records == plain.records
+        assert json.dumps(result.summary) == json.dumps(plain.summary)
+
     def test_bins_records_and_summary(self):
         cfg = ExperimentConfig(
             experiment="bins_concentration", n=100, trials=8, seed=5, eps=2.0
