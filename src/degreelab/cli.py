@@ -29,7 +29,6 @@ from degreelab.balls_bins import max_load, sample_locations
 from degreelab.dense_ops import sweep_ratio_bounds
 from degreelab.graphs import (
     SimpleGraph,
-    _edge_arrays,
     decompose_masks,
     format_edge_list,
     read_edge_list,
@@ -40,8 +39,8 @@ from degreelab.samplers import DEFAULT_MAX_ATTEMPTS
 from degreelab.samplers import complex_part_arrays, sample_gnm_arrays
 
 
-def _edge_list(path: str) -> SimpleGraph:
-    """argparse type for an edge-list file: the graph it holds."""
+def _edge_list(path: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """argparse type for an edge-list file: the (n, us, vs) of its checked graph."""
     try:
         return read_edge_list(path)
     except (OSError, ValueError) as exc:
@@ -258,7 +257,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_complex_part(args: argparse.Namespace) -> int:
-    us, vs = complex_part_arrays(args.core, args.q, derive_rng(args.seed, 0))
+    core = SimpleGraph.from_arrays(*args.core)
+    us, vs = complex_part_arrays(core, args.q, derive_rng(args.seed, 0))
     sys.stdout.write(format_edge_list(args.q, us, vs))
     return 0
 
@@ -267,8 +267,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     # One degree count on the labels gives Δ, k, l and the peel's degrees.
     # The masks carry a False slot 0, so their nonzero positions are labels;
     # the rest mask is True there and drops its first position.
-    n = args.graph.order
-    us, vs = _edge_arrays(args.graph)
+    n, us, vs = args.graph
     degree = np.bincount(np.concatenate((us, vs)), minlength=n + 1)
     core, big, small = decompose_masks(n, us, vs, degree[1:])
     leaf = degree == 1

@@ -12,6 +12,12 @@ sequence when the caller has it and return masks indexed by label, with a
 False slot 0.  The ``SimpleGraph`` functions convert their edges and call
 these.
 
+``_check_edges`` is the one owner of the structural half of the
+simple-graph rule (no loop, no endpoint outside the vertex set, no edge
+repeated in either orientation), on endpoint arrays: ``SimpleGraph`` calls
+it on its own edges after checking their types, and ``parse_edge_list`` on
+the arrays it reads, which reach the CLI without a ``SimpleGraph``.
+
 A component is *complex* if it has at least two independent cycles (edge
 count >= vertex count + 1).  The complex part of a graph is the union of its
 complex components; peeling degree-one vertices from it yields the core, a
@@ -48,54 +54,63 @@ class EnumerationLimitError(ValueError):
     """Raised when an exhaustive sweep exceeds ENUMERATION_LIMIT vertices."""
 
 
+def _is_integer(x: object) -> bool:
+    """True for Python and NumPy integers; bools are not graph labels."""
+    return type(x) is not bool and isinstance(x, (int, np.integer))
+
+
+def _int64(values: Sequence, what: str) -> np.ndarray:
+    """Integer ``values`` as an int64 array; a float or bool would convert, so
+    anything else, or an integer beyond int64, is a ValueError naming it."""
+    if set(map(type, values)) - {int}:
+        for x in values:
+            if not _is_integer(x):
+                raise ValueError(f"{what} must be integers, got {x!r}")
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        bad = next(x for x in values if not -(2**63) <= int(x) < 2**63)
+        raise ValueError(f"{what} must lie within int64, got {bad!r}") from None
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
     """Immutable labelled simple graph on an explicit vertex set.
 
-    Vertex labels and edge endpoints are Python or NumPy integers, not bools,
-    and labels are positive; edges are unordered pairs of distinct vertices,
-    stored with the smaller endpoint first.  ``edges`` may be any iterable of
-    pairs; an edge given twice, in either orientation, is an error.  An empty
-    vertex set is allowed so that subgraphs (cores, decomposition parts) can
-    be empty.  Every constructor, ``from_arrays`` included, goes through
-    ``__post_init__``, the one check of these rules.
+    Vertex labels and edge endpoints are Python or NumPy integers within
+    int64, not bools, and labels are positive; edges are unordered pairs of
+    distinct vertices, stored with the smaller endpoint first as Python ints.
+    ``edges`` may be any iterable of pairs; an edge given twice, in either
+    orientation, is an error.  An empty vertex set is allowed so that
+    subgraphs (cores, decomposition parts) can be empty.  Every constructor,
+    ``from_arrays`` included, goes through ``__post_init__``, which checks
+    the types and hands the structural rule to ``_check_edges``.
     """
 
     vertices: tuple[int, ...]
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        # Python and NumPy integers pass, bools do not.  Types are checked
-        # first: hashing fails on a label such as [2], sorting on mixed types.
-        for kind in set(map(type, self.vertices)):
-            if kind is bool or not issubclass(kind, (int, np.integer)):
-                bad = next(v for v in self.vertices if type(v) is kind)
-                raise ValueError(f"vertex labels must be integers, got {bad!r}")
-        vset = set(self.vertices)
-        vs = tuple(sorted(vset))
+        # Types are checked first: hashing fails on a label such as [2],
+        # sorting on mixed types, and 2.0 or True would equal a label.
+        labels = _int64(self.vertices, "vertex labels")
+        vs = tuple(sorted(set(self.vertices)))
         if vs and vs[0] < 1:
             raise ValueError("vertex labels must be positive integers")
         object.__setattr__(self, "vertices", vs)
-        canonical = set()
-        for u, v in self.edges:
-            # The same rule for endpoints, before 2.0 or True can equal a label.
-            if type(u) is not int or type(v) is not int:
-                for x in (u, v):
-                    if type(x) is bool or not isinstance(x, (int, np.integer)):
-                        raise ValueError(f"edge endpoints must be integers, got {x!r}")
-            if u == v:
-                raise ValueError(f"loop at vertex {u} is not a simple-graph edge")
-            e = (u, v) if u < v else (v, u)
-            if u not in vset or v not in vset:
-                raise ValueError(f"edge {e} has an endpoint outside the vertex set")
-            if e in canonical:
-                raise ValueError(f"edge {e} appears more than once")
-            canonical.add(e)
-        object.__setattr__(self, "edges", frozenset(canonical))
+        ends = _int64([x for u, v in self.edges for x in (u, v)], "edge endpoints")
+        us, ws = ends[0::2], ends[1::2]
+        # Sorted distinct positive labels are 1..k iff the largest is k.
+        on_range = (vs[-1] if vs else 0) == len(vs)
+        _check_edges(len(vs), us, ws, None if on_range else _distinct(labels))
+        lo, hi = np.minimum(us, ws).tolist(), np.maximum(us, ws).tolist()
+        object.__setattr__(self, "edges", frozenset(zip(lo, hi)))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]] = ()) -> SimpleGraph:
         """Graph on vertex set 1..n with the given edges."""
+        if not _is_integer(n):
+            raise ValueError(f"n must be an integer, got {n!r}")
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
         return cls(vertices=tuple(range(1, n + 1)), edges=edges)
@@ -162,6 +177,58 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     keep = np.ones(ordered.size, dtype=bool)
     keep[1:] = ordered[1:] != ordered[:-1]
     return ordered[keep]
+
+
+def _check_edges(
+    n: int, us: np.ndarray, vs: np.ndarray, labels: np.ndarray | None = None
+) -> None:
+    """Check that (us[i], vs[i]) are the edges of a simple graph on [n], or
+    on ``labels`` (a sorted int64 array of n distinct labels) when given.
+
+    No edge may be a loop, have an endpoint outside the vertex set, or
+    repeat an earlier edge in either orientation.  A failure raises
+    ``ValueError`` naming the first failing edge in input order, checked for
+    a loop, then its range, then a repeat.  Valid edges cost one sort of the
+    pair key lo * base + hi of the endpoints' positions; a failure pays for
+    the stable argsort that finds the first one.  An edge out of range may
+    get any key, since a repeat it causes lies after it.
+    """
+    us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+    if not us.size:
+        return  # the many edgeless parts and cores skip a dozen NumPy calls
+    lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+    loops = lo == hi
+    if labels is None:
+        inside, base = (lo >= 1) & (hi <= n), n + 1
+    else:
+        at_lo, at_hi = np.searchsorted(labels, lo), np.searchsorted(labels, hi)
+        top = n - 1
+        inside = labels[np.minimum(at_lo, top)] == lo
+        inside &= labels[np.minimum(at_hi, top)] == hi
+        lo, hi, base = at_lo, at_hi, n
+    if base > 2**31:
+        # Dense ranks keep the key below 2^63 whatever the labels.
+        ranks = _distinct(np.concatenate((lo, hi)))
+        lo, hi = np.searchsorted(ranks, lo), np.searchsorted(ranks, hi)
+        base = ranks.size
+    keys = lo * base + hi
+    ordered = np.sort(keys)
+    bad = loops | ~inside
+    # count_nonzero costs a third of any() on the small graphs built in bulk.
+    if not np.count_nonzero(bad) and not np.count_nonzero(ordered[1:] == ordered[:-1]):
+        return
+    # A stable sort keeps equal keys in input order: all but the first repeat.
+    order = np.argsort(keys, kind="stable")
+    repeat = np.zeros(keys.size, dtype=bool)
+    repeat[order[1:][ordered[1:] == ordered[:-1]]] = True
+    i = int(np.flatnonzero(bad | repeat)[0])
+    u, v = int(us[i]), int(vs[i])
+    if u == v:
+        raise ValueError(f"loop at vertex {u} is not a simple-graph edge")
+    e = (u, v) if u < v else (v, u)
+    if not inside[i]:
+        raise ValueError(f"edge {e} has an endpoint outside the vertex set")
+    raise ValueError(f"edge {e} appears more than once")
 
 
 def _component_roots(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -621,26 +688,43 @@ def format_edge_list(n: int, us: np.ndarray, vs: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _edge_list_int(token: str) -> int:
+def _int64_tokens(tokens: list[str]) -> np.ndarray:
+    """Edge-list tokens as int64, read as ``int`` reads them (``1_000`` passes,
+    ``2.0``, ``True``, ``0x10`` and ``1e3`` fail) in one conversion; a failure
+    names the first token that is no integer or lies beyond int64."""
     try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"edge list token {token!r} is not an integer") from None
+        return np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        for token in tokens:
+            try:
+                if -(2**63) <= int(token) < 2**63:
+                    continue
+                problem = "lies beyond int64"
+            except ValueError:
+                problem = "is not an integer"
+            raise ValueError(f"edge list token {token!r} {problem}") from None
+        raise
 
 
-def parse_edge_list(text: str) -> SimpleGraph:
+def parse_edge_list(text: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """The graph in edge-list text as (n, us, vs): its vertex count and int64
+    endpoint arrays in file order, checked by ``_check_edges`` as the edges
+    of a simple graph on [n].  Wrap them in ``SimpleGraph.from_arrays`` for a
+    graph object."""
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("edge list must start with an 'N M' header")
-    n, m = _edge_list_int(tokens[0]), _edge_list_int(tokens[1])
+    n, m = _int64_tokens(tokens[:2]).tolist()
     if n < 0 or m < 0:
         raise ValueError(f"header N and M must be non-negative, got {n} {m}")
     if len(tokens) != 2 + 2 * m:
         raise ValueError(f"expected {m} edges after the header, got malformed data")
-    pairs = [_edge_list_int(token) for token in tokens[2:]]
-    return SimpleGraph.from_edges(n, zip(pairs[0::2], pairs[1::2]))
+    ends = _int64_tokens(tokens[2:])
+    us, vs = ends[0::2], ends[1::2]
+    _check_edges(n, us, vs)
+    return n, us, vs
 
 
-def read_edge_list(path: str) -> SimpleGraph:
+def read_edge_list(path: str) -> tuple[int, np.ndarray, np.ndarray]:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_edge_list(handle.read())

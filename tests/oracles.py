@@ -40,6 +40,27 @@ class ReplayRng:
         return int(draw) if size is None else draw.astype(dtype)
 
 
+def loop_edge_check(vertices, edges) -> frozenset[Edge]:
+    """The canonical edge set, or the ValueError of the first failing edge.
+
+    The per-edge loop that ``SimpleGraph`` ran before ``graphs._check_edges``
+    took over its structural rule: each edge in input order is checked for
+    a loop, then for an endpoint outside ``vertices`` (a set, or a range for
+    [n]), then for a repeat of an earlier edge in either orientation.
+    """
+    canonical = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"loop at vertex {u} is not a simple-graph edge")
+        e = (u, v) if u < v else (v, u)
+        if u not in vertices or v not in vertices:
+            raise ValueError(f"edge {e} has an endpoint outside the vertex set")
+        if e in canonical:
+            raise ValueError(f"edge {e} appears more than once")
+        canonical.add(e)
+    return frozenset(canonical)
+
+
 def union_find_components(n: int, edges) -> list[set[int]]:
     parent = list(range(n + 1))
 

@@ -19,7 +19,7 @@ from degreelab.concentration import (
     concentration_point,
     predicted_interval_sparse,
 )
-from degreelab.graphs import parse_edge_list
+from degreelab.graphs import SimpleGraph, parse_edge_list
 from degreelab.harness import ExperimentConfig, emit, run_experiment
 from degreelab.pruefer import validate_forest
 from degreelab.samplers import RejectionLimitError
@@ -98,7 +98,7 @@ class TestSampleCommands:
             capsys, "sample", "forest", "--n", "12", "--t", "2", "--seed", "5"
         )
         assert code == 0
-        graph = parse_edge_list(out)
+        graph = SimpleGraph.from_arrays(*parse_edge_list(out))
         assert graph.size == 10
         assert out.splitlines()[0] == "12 10"
 
@@ -137,7 +137,7 @@ class TestSampleCommands:
             capsys, "sample", "noncomplex", "--n", "40", "--m", "20", "--seed", "8"
         )
         assert code == 0
-        graph = parse_edge_list(out)
+        graph = SimpleGraph.from_arrays(*parse_edge_list(out))
         assert graph.size == 20
 
     def test_complex_part(self, capsys, tmp_path):
@@ -149,7 +149,7 @@ class TestSampleCommands:
             "--q", "12", "--seed", "9",
         )
         assert code == 0
-        graph = parse_edge_list(out)
+        graph = SimpleGraph.from_arrays(*parse_edge_list(out))
         assert graph.size == 12  # 3 core edges + 9 forest edges
         assert {(1, 2), (1, 3), (2, 3)} <= set(graph.edges)
 
@@ -199,7 +199,7 @@ class TestSampleCommands:
         code, out, _ = run_cli(capsys, "sample", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-        graph = parse_edge_list(out)
+        graph = SimpleGraph.from_arrays(*parse_edge_list(out))
         if argv[0] == "forest":
             validate_forest(graph, int(argv[argv.index("--t") + 1]))
 
@@ -363,9 +363,26 @@ class TestEdgeListFiles:
             ("3 2\n1 2\n", "expected 2 edges after the header"),
             ("3 1\n2 2\n", "loop at vertex 2 is not a simple-graph edge"),
             ("3 1\n1 4\n", "edge \\(1, 4\\) has an endpoint outside the vertex set"),
+            ("3 1\n0 1\n", "edge \\(0, 1\\) has an endpoint outside the vertex set"),
             ("3 3\n1 2\n2 1\n2 3\n", "edge \\(1, 2\\) appears more than once"),
+            ("3 2\n1 2\n1 2\n", "edge \\(1, 2\\) appears more than once"),
+            ("3 2\n2 1\n1 2\n", "edge \\(1, 2\\) appears more than once"),
             ("3 1\n1 two\n", "edge list token 'two' is not an integer"),
+            ("3 1\n1 2.0\n", "edge list token '2.0' is not an integer"),
+            ("3 1\nTrue 2\n", "edge list token 'True' is not an integer"),
+            ("3 1\n1 0x10\n", "edge list token '0x10' is not an integer"),
+            ("1e3 0\n", "edge list token '1e3' is not an integer"),
+            ("3\n", "edge list must start with an 'N M' header"),
+            ("", "edge list must start with an 'N M' header"),
             ("3 -1\n", "header N and M must be non-negative, got 3 -1"),
+            (
+                "99999999999999999999 0\n",
+                "edge list token '99999999999999999999' lies beyond int64",
+            ),
+            (
+                "3 1\n1 99999999999999999999\n",
+                "edge list token '99999999999999999999' lies beyond int64",
+            ),
             (None, "No such file or directory"),
         ],
     )
@@ -824,7 +841,7 @@ class TestParserReuse:
         assert code == 0
         assert len(json.loads(codeword)["sequence"]) == 6
         assert out.splitlines()[0] == "8 6"
-        assert parse_edge_list(out).size == 6
+        assert SimpleGraph.from_arrays(*parse_edge_list(out)).size == 6
 
     def test_usage_error_leaves_no_state(self, capsys, tmp_path):
         config = {"experiment": "bins_concentration", "n": 50, "trials": 5, "seed": 99}

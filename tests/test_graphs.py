@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from itertools import combinations, product
 
 import numpy as np
@@ -13,6 +14,7 @@ from degreelab.graphs import (
     _BULK_FRONTIER,
     EnumerationLimitError,
     SimpleGraph,
+    _check_edges,
     _edge_arrays,
     _kuratowski_masks,
     _leaf_ordered,
@@ -39,6 +41,7 @@ from oracles import (
     bfs_components,
     dict_decompose,
     isolated_counts,
+    loop_edge_check,
     networkx_planar,
     queue_peel,
     scipy_component_stats,
@@ -177,6 +180,39 @@ class TestSimpleGraphBasics:
         )
         assert components(graph) == [(1, 2), (7,)]
 
+    @pytest.mark.parametrize("n", [True, 2.0, "3"])
+    def test_n_must_be_an_integer(self, n):
+        message = f"n must be an integer, got {re.escape(repr(n))}"
+        with pytest.raises(ValueError, match=message):
+            SimpleGraph.from_edges(n, [])
+        with pytest.raises(ValueError, match=message):
+            SimpleGraph.from_arrays(n, np.array([], int), np.array([], int))
+
+    def test_numpy_integer_n_is_accepted(self):
+        expected = SimpleGraph(vertices=(1, 2, 3), edges=[(1, 3)])
+        assert SimpleGraph.from_edges(np.int64(3), [(3, 1)]) == expected
+        assert SimpleGraph.from_arrays(np.int64(3), np.array([1]), np.array([3])) == expected
+
+    @pytest.mark.parametrize("big", [2**63, -(2**63) - 1, np.uint64(2**63)])
+    def test_labels_beyond_int64_are_refused_by_name(self, big):
+        shown = re.escape(repr(big))
+        with pytest.raises(ValueError, match=f"vertex labels must lie within int64, got {shown}"):
+            SimpleGraph(vertices=(1, big), edges=[])
+        with pytest.raises(ValueError, match=f"edge endpoints must lie within int64, got {shown}"):
+            SimpleGraph.from_edges(3, [(1, 2), (big, 1)])
+
+    def test_types_are_checked_before_the_structure(self):
+        # The loop at 1 comes first, but every endpoint's type is checked
+        # before _check_edges sees any edge.
+        with pytest.raises(ValueError, match="edge endpoints must be integers, got 2.0"):
+            SimpleGraph.from_edges(3, [(1, 1), (3, 2.0)])
+
+    def test_numpy_endpoints_are_stored_as_python_ints(self):
+        graph = SimpleGraph.from_edges(3, [(np.int64(2), np.uint8(1))])
+        assert [type(x) for e in graph.edges for x in e] == [int, int]
+        with pytest.raises(ValueError, match="edge \\(1, 7\\) has an endpoint outside"):
+            SimpleGraph.from_edges(3, [(np.int64(7), 1)])
+
     def test_edges_are_canonicalised(self):
         graph = SimpleGraph.from_edges(3, [(3, 1), (2, 1)])
         assert graph.edges == frozenset({(1, 3), (1, 2)})
@@ -246,6 +282,94 @@ class TestSimpleGraphBasics:
         assert graph.adjacency[1] == (2, 3)
         assert graph.degree(1) == 2
         assert graph.degree(4) == 0
+
+
+INT64_MAX = 2**63 - 1
+
+
+@st.composite
+def checked_edge_lists(draw):
+    """(vertices, labels, n, edges): a vertex set, the ``labels`` array that
+    ``_check_edges`` takes for it (None for [n]), and edges that mix valid
+    pairs with loops, endpoints outside the set and repeats in either
+    orientation.  n above 2^31 takes the dense-rank branch of the key."""
+    kind = draw(st.sampled_from(["range", "labels", "huge"]))
+    if kind == "range":
+        n = draw(st.integers(0, 8))
+        vertices, labels = range(1, n + 1), None
+        inner = list(vertices)
+    elif kind == "huge":
+        n = draw(st.sampled_from([2**31, 2**40, INT64_MAX]))
+        vertices, labels = range(1, n + 1), None
+        inner = [1, 2, n - 1, n, draw(st.integers(1, n))]
+    else:
+        small = st.integers(1, 12) | st.integers(2**31, INT64_MAX)
+        vertices = draw(st.sets(small, min_size=1, max_size=8))
+        labels = np.array(sorted(vertices), dtype=np.int64)
+        n, inner = len(vertices), sorted(vertices)
+    near = [0, -1, -(2**63), INT64_MAX, *(min(x + 1, INT64_MAX) for x in inner)]
+    outer = [x for x in near if x not in vertices]
+    endpoint = st.sampled_from(outer)
+    if inner:
+        endpoint = st.sampled_from(inner) | st.sampled_from(inner) | endpoint
+    edges = draw(st.lists(st.tuples(endpoint, endpoint), max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        if edges:
+            i = draw(st.integers(0, len(edges) - 1))
+            u, v = edges[i]
+            at = draw(st.integers(i + 1, len(edges)))
+            edges.insert(at, (v, u) if draw(st.booleans()) else (u, v))
+    return vertices, labels, n, edges
+
+
+def _outcome(check, *args):
+    """What a check returns, or the type and message of its exception."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestCheckEdges:
+    """``_check_edges`` against the per-edge reference loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=checked_edge_lists())
+    def test_names_the_edge_the_loop_names(self, drawn):
+        vertices, labels, n, edges = drawn
+        us = np.array([u for u, _ in edges], dtype=np.int64)
+        vs = np.array([v for _, v in edges], dtype=np.int64)
+        expected = _outcome(loop_edge_check, vertices, edges)
+        failed = isinstance(expected, tuple)
+        assert _outcome(_check_edges, n, us, vs, labels) == (expected if failed else None)
+        if n <= 12:  # a SimpleGraph holds its vertex tuple
+            graph = _outcome(SimpleGraph, tuple(vertices), edges)
+            assert graph == expected if failed else graph.edges == expected
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            pytest.param([(2, 3), (1, 2), (2, 1)], "edge \\(1, 2\\) appears more", id="repeat"),
+            pytest.param([(3, 2), (4, 4), (1, 9)], "loop at vertex 4", id="loop-first"),
+            pytest.param([(1, 2), (9, 1), (2, 1)], "edge \\(1, 9\\) has an endpoint", id="range"),
+            pytest.param([(9, 1), (1, 9)], "edge \\(1, 9\\) has an endpoint", id="range-repeat"),
+            pytest.param([(0, 0), (5, 0)], "loop at vertex 0", id="loop-outside"),
+        ],
+    )
+    def test_first_failing_edge_on_range_and_labels(self, edges, message):
+        us, vs = (np.array(side, dtype=np.int64) for side in zip(*edges))
+        with pytest.raises(ValueError, match=message):
+            _check_edges(5, us, vs)
+        with pytest.raises(ValueError, match=message):
+            _check_edges(5, us, vs, np.array([1, 2, 3, 4, 7]))
+
+    def test_wide_labels_take_dense_ranks(self):
+        n = INT64_MAX
+        us = np.array([1, n, n - 1, 1], dtype=np.int64)
+        vs = np.array([n, n - 1, 1, n - 1], dtype=np.int64)
+        with pytest.raises(ValueError, match=f"edge \\(1, {n - 1}\\) appears more"):
+            _check_edges(n, us, vs)
+        _check_edges(n, us[:3], vs[:3])
 
 
 class TestDegreesAndComponents:
@@ -1194,7 +1318,42 @@ class TestEdgeListFormat:
         graph = SimpleGraph.from_edges(5, [(1, 2), (3, 5)])
         text = format_edge_list(5, np.array([5, 1]), np.array([3, 2]))
         assert text == "5 2\n1 2\n3 5\n"
-        assert parse_edge_list(text) == graph
+        assert SimpleGraph.from_arrays(*parse_edge_list(text)) == graph
+
+    def test_arrays_keep_the_file_order(self):
+        n, us, vs = parse_edge_list("4 3\n3 1\n2 4\n1 2\n")
+        assert (n, us.tolist(), vs.tolist()) == (4, [3, 2, 1], [1, 4, 2])
+        assert us.dtype == vs.dtype == np.int64
+
+    def test_tokens_are_read_as_int_reads_them(self):
+        # One NumPy conversion, which accepts what int() accepts.
+        n, us, vs = parse_edge_list("1_000 2\n+5 \u0663\n 7 1000\n")
+        assert (n, us.tolist(), vs.tolist()) == (1000, [5, 7], [3, 1000])
+
+    @pytest.mark.parametrize("token", ["2.0", "True", "0x10", "1e3", "nan", "1."])
+    def test_refuses_what_int_refuses(self, token):
+        for text in (f"3 1\n1 {token}\n", f"{token} 0\n", f"3 {token}\n"):
+            with pytest.raises(ValueError, match=f"token '{re.escape(token)}' is not an integer"):
+                parse_edge_list(text)
+
+    @pytest.mark.parametrize(
+        "text, token",
+        [
+            pytest.param("99999999999999999999 0\n", "99999999999999999999", id="header-n"),
+            pytest.param("3 9223372036854775808\n", "9223372036854775808", id="header-m"),
+            pytest.param("3 1\n1 9223372036854775808\n", "9223372036854775808", id="body"),
+            pytest.param("3 1\n-9223372036854775809 1\n", "-9223372036854775809", id="negative"),
+        ],
+    )
+    def test_token_beyond_int64_is_named(self, text, token):
+        with pytest.raises(ValueError, match=f"edge list token '{token}' lies beyond int64"):
+            parse_edge_list(text)
+
+    def test_first_bad_token_in_file_order_is_named(self):
+        with pytest.raises(ValueError, match="token '1e3' is not an integer"):
+            parse_edge_list("3 2\n1 1e3\n1 99999999999999999999\n")
+        with pytest.raises(ValueError, match="token '99999999999999999999' lies beyond"):
+            parse_edge_list("3 2\n1 99999999999999999999\n1 1e3\n")
 
     @settings(deadline=None)
     @given(data=st.data())
